@@ -22,7 +22,7 @@ import (
 )
 
 // Bytes is a size in bytes — rows, lines, transfer extents. It is a named
-// unit type (DESIGN.md "machlint v2: unit types"), distinct from the plain
+// unit type (DESIGN.md "Static analysis (machlint)"), distinct from the plain
 // uint64 physical addresses it offsets: adding Bytes to an address is
 // meaningful, adding an address to an address is not, and the unitflow
 // analyzer keeps derived locals honest. The underlying uint64 is unchanged.

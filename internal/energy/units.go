@@ -2,7 +2,7 @@ package energy
 
 // Joules is the canonical energy quantity every ledger in the simulator
 // accumulates and every Fig 11 component reports. It is a named unit type
-// (DESIGN.md "machlint v2: unit types"): adding a Joules value to a
+// (DESIGN.md "Static analysis (machlint)"): adding a Joules value to a
 // same-shaped quantity of another dimension — power, time, a picojoule
 // count — fails to compile, and the unitflow analyzer propagates the
 // dimension through plain-float locals derived from it.

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Allocheck is machlint v4's hot-path allocation analyzer. The simulator's
+// Allocheck is the hot-path allocation analyzer. The simulator's
 // per-frame loop (core.Runner.StepFrame and everything it reaches) is the
 // engine's steady state: any heap allocation there repeats tens of
 // thousands of times per run, churns the GC, and is exactly the regression
@@ -16,7 +16,7 @@ import (
 //
 // Roots are declared in the source with `//lint:hotpath <reason>` on a
 // function's doc comment. The analyzer walks each root's call cone over the
-// v3 interprocedural call graph — static calls, method calls, resolved
+// interprocedural call graph — static calls, method calls, resolved
 // function values, interface dispatch, and contained literals — and flags
 // the allocation shapes Go's escape analysis cannot keep off the heap:
 //

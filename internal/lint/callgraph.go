@@ -10,7 +10,7 @@ import (
 // Package-level call graph over one package, the substrate for the
 // interprocedural analyses (summary.go, statecheck, puritycheck, and the
 // call-boundary cases of unitflow and ledgercheck). Per DESIGN.md
-// "machlint v3", resolution covers four callee shapes:
+// "Static analysis (machlint)", resolution covers four callee shapes:
 //
 //   - static calls of package-level functions, in this package or any other
 //     module package (the module index maps *types.Func to its node);

@@ -252,8 +252,8 @@ func f(cond bool) int {
 }
 
 // TestUnitFlowDimSources covers the dimension-inference corners: unary
-// operands, indexed suffixed slices, struct-field suffixes, callee-name
-// suffixes, and var-declaration propagation.
+// operands, indexed suffixed slices, struct-field suffixes, unresolved
+// callee-name suffixes, and var-declaration propagation.
 func TestUnitFlowDimSources(t *testing.T) {
 	src := `package p
 
@@ -261,8 +261,6 @@ type Joules float64
 type Watts float64
 
 type rec struct{ totalPJ float64 }
-
-func computePJ() float64 { return 1 }
 
 func unary(j Joules, w Watts) float64 {
 	e := float64(j)
@@ -278,7 +276,7 @@ func field(r rec, j Joules) float64 {
 	return r.totalPJ + float64(j)
 }
 
-func callSuffix(j Joules) float64 {
+func callSuffix(j Joules, computePJ func() float64) float64 {
 	return computePJ() + float64(j)
 }
 
@@ -329,6 +327,31 @@ func multiValueUnknown(j Joules, w Watts) float64 {
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "mixes") {
 			t.Errorf("unexpected message: %s", d.Message)
+		}
+	}
+}
+
+func TestUnitOfBoundaries(t *testing.T) {
+	cases := []struct {
+		name   string
+		suffix string
+		ok     bool
+	}{
+		{"energyPJ", "PJ", true},
+		{"busyPs", "Ps", true},
+		{"Ps", "Ps", true},
+		{"t1Ns", "Ns", true},
+		{"ComputeCycles", "Cycles", true},
+		{"freqMHz", "MHz", true},
+		{"Caps", "", false}, // lowercase "ps" is not the Ps unit
+		{"ANs", "", false},  // no camelCase boundary before the suffix
+		{"frames", "", false},
+		{"staticMW", "MW", true},
+	}
+	for _, c := range cases {
+		suffix, _, ok := unitOf(c.name)
+		if ok != c.ok || suffix != c.suffix {
+			t.Errorf("unitOf(%q) = %q,%v; want %q,%v", c.name, suffix, ok, c.suffix, c.ok)
 		}
 	}
 }

@@ -95,6 +95,21 @@ func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
+// recvNamed returns the named type a method is declared on (through one
+// pointer), or nil for plain functions and methods of unnamed types.
+func recvNamed(fn *types.Func) *types.Named {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
 func checkNondeterministicCall(pass *Pass, call *ast.CallExpr) {
 	fn := calleeFunc(pass, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -328,16 +343,8 @@ func isCaptured(lit *ast.FuncLit, obj types.Object) bool {
 // isWriterMethod reports whether fn is a Write* method on the standard
 // output-accumulating types.
 func isWriterMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !strings.HasPrefix(fn.Name(), "Write") {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+	named := recvNamed(fn)
+	if named == nil || named.Obj().Pkg() == nil || !strings.HasPrefix(fn.Name(), "Write") {
 		return false
 	}
 	switch named.Obj().Pkg().Path() + "." + named.Obj().Name() {

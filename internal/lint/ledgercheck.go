@@ -61,7 +61,7 @@ func isEnergyDim(d string) bool { return strings.HasPrefix(d, "energy") }
 
 // isProducerCall reports whether e is a genuine call (not a conversion)
 // whose single result carries an energy dimension — by its declared unit
-// type, or (interprocedurally, machlint v3) by the callee summaries when
+// type, or (interprocedurally) by the callee summaries when
 // the helper returns its joules through a plain float64. Every resolved
 // dispatch target must agree; a lone disagreeing implementation makes the
 // call's dimension unknown, not energy.
@@ -230,7 +230,7 @@ func sinkUses(pass *Pass, n ast.Node, v *types.Var) []string {
 				}
 				return true
 			}
-			// Interprocedural sink (machlint v3): the value feeds a callee
+			// Interprocedural sink: the value feeds a callee
 			// parameter that the callee's summary accumulates into an
 			// energy ledger — energy produced here, deposited one call away.
 			if pass.graph == nil {
@@ -273,16 +273,8 @@ func isAccumulatorAdd(pass *Pass, call *ast.CallExpr) bool {
 	if fn == nil || fn.Name() != "Add" {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && accumulatorTypes[named.Obj().Name()]
+	named := recvNamed(fn)
+	return named != nil && accumulatorTypes[named.Obj().Name()]
 }
 
 // exprReadsVar reports whether expression e references v (outside func

@@ -49,7 +49,7 @@ type Pass struct {
 	check  string
 	report func(Diagnostic)
 
-	// graph and mod are the interprocedural layer (machlint v3): the
+	// graph and mod are the interprocedural layer: the
 	// package's resolved call graph with per-function summaries, and the
 	// module-wide index behind it. RunAnalyzers builds them once per run;
 	// they are nil in unit tests that construct a Pass by hand, and every
@@ -143,7 +143,8 @@ func (d ignoreDirective) matches(check string) bool {
 
 // parseDirectives extracts suppression directives from a file, reporting a
 // framework diagnostic for malformed ones (a directive without a reason is
-// itself a finding: the whole point is the written justification).
+// itself a finding: the whole point is the written justification) and for
+// ones naming a check the suite does not have.
 func parseDirectives(fset *token.FileSet, f *ast.File, report func(Diagnostic)) []*ignoreDirective {
 	var ds []*ignoreDirective
 	for _, cg := range f.Comments {
@@ -200,9 +201,21 @@ func parseDirectives(fset *token.FileSet, f *ast.File, report func(Diagnostic)) 
 				})
 				continue
 			}
+			checks := strings.Split(fields[0], ",")
+			// A misspelled or retired check name would suppress nothing
+			// and, never running, never be reported stale either.
+			for _, c := range checks {
+				if c != "all" && ByName(c) == nil {
+					report(Diagnostic{
+						Pos:     pos,
+						Check:   "lintdirective",
+						Message: fmt.Sprintf("lint:ignore names unknown check %q; machlint -list shows the checks", c),
+					})
+				}
+			}
 			ds = append(ds, &ignoreDirective{
 				pos:    pos,
-				checks: strings.Split(fields[0], ","),
+				checks: checks,
 				reason: strings.Join(fields[1:], " "),
 			})
 		}
@@ -378,7 +391,6 @@ func staleDirectives(directives []*ignoreDirective, analyzers []*Analyzer) []Dia
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		UnitSafety,
 		UnitFlow,
 		LedgerCheck,
 		StateCheck,
@@ -386,7 +398,6 @@ func All() []*Analyzer {
 		PathCheck,
 		FloatEq,
 		SelfCompare,
-		ErrCheck,
 		Allocheck,
 		StaleIgnore,
 	}

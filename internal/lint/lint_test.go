@@ -3,6 +3,8 @@ package lint
 import (
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,6 +12,9 @@ import (
 // TestGolden runs every analyzer over its testdata corpus: files seeded
 // with violations (`// want` assertions), files whose violations carry
 // lint:ignore directives (zero surviving diagnostics), and clean files.
+// Corpora of analyzers folded into a live one keep their own subtest: the
+// files live under the absorbing analyzer's testdata directory, prefixed,
+// and run there with its rules.
 func TestGolden(t *testing.T) {
 	for _, a := range All() {
 		t.Run(a.Name, func(t *testing.T) {
@@ -18,15 +23,75 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, file := range files {
-				problems, err := RunGoldenFile(a, file)
-				if err != nil {
-					t.Fatalf("%s: %v", file, err)
-				}
-				for _, p := range problems {
-					t.Errorf("%s", p)
+				if foldedCorpusOf(a.Name, file) == "" {
+					runGolden(t, a, file)
 				}
 			}
 		})
+	}
+	for _, c := range foldedCorpora {
+		t.Run(c.name, func(t *testing.T) {
+			files, err := filepath.Glob(filepath.Join("testdata", c.into, c.prefix+"*.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) == 0 {
+				t.Fatalf("no %s*.go files in testdata/%s", c.prefix, c.into)
+			}
+			for _, file := range files {
+				runGolden(t, ByName(c.into), file)
+			}
+		})
+	}
+}
+
+// foldedCorpora maps each retired analyzer's corpus to the analyzer that
+// absorbed its rule and the file-name prefix its files carry there.
+var foldedCorpora = []struct{ name, into, prefix string }{
+	{"errcheck", "pathcheck", "discard_"},
+	{"unitsafety", "unitflow", "suffix_"},
+}
+
+// foldedCorpusOf names the folded corpus a golden file of analyzer belongs
+// to, or "" if it is the analyzer's own.
+func foldedCorpusOf(analyzer, file string) string {
+	for _, c := range foldedCorpora {
+		if c.into == analyzer && strings.HasPrefix(filepath.Base(file), c.prefix) {
+			return c.name
+		}
+	}
+	return ""
+}
+
+func runGolden(t *testing.T, a *Analyzer, file string) {
+	t.Helper()
+	problems, err := RunGoldenFile(a, file)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	for _, p := range problems {
+		t.Errorf("%s", p)
+	}
+}
+
+// TestGoldenCorporaMatchSuite keeps testdata/ and All() in bijection: every
+// analyzer has a non-empty corpus, and every corpus directory names a live
+// analyzer, so a corpus deleted instead of moved, or orphaned by a removed
+// analyzer, fails here instead of silently never running.
+func TestGoldenCorporaMatchSuite(t *testing.T) {
+	for _, a := range All() {
+		if _, err := GoldenFiles(".", a.Name); err != nil {
+			t.Errorf("analyzer %s: %v", a.Name, err)
+		}
+	}
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && ByName(e.Name()) == nil {
+			t.Errorf("testdata/%s names no analyzer in All(); its corpus never runs", e.Name())
+		}
 	}
 }
 
@@ -72,6 +137,33 @@ var X = 1
 	diags := checkSource(t, src, "example.com/p", nil)
 	if len(diags) != 1 || diags[0].Check != "lintdirective" {
 		t.Fatalf("want one lintdirective diagnostic, got %v", diags)
+	}
+}
+
+// A directive naming a check the suite does not have (a typo, or a retired
+// analyzer) suppresses nothing and would never be reported stale, so it is
+// itself a finding in every run, full suite or subset.
+func TestIgnoreDirectiveUnknownCheck(t *testing.T) {
+	src := `package p
+
+func eq(a, b float64) bool {
+	//lint:ignore nosuchcheck fixture: misspelled check name
+	return a == b
+}
+
+//lint:ignore floateq,errcheck fixture: one retired name among live ones
+var x = 1
+`
+	for _, analyzers := range [][]*Analyzer{All(), {SelfCompare}} {
+		var unknown []string
+		for _, d := range checkSource(t, src, "example.com/p", analyzers) {
+			if d.Check == "lintdirective" {
+				unknown = append(unknown, d.Message)
+			}
+		}
+		if len(unknown) != 2 || !strings.Contains(unknown[0], `"nosuchcheck"`) || !strings.Contains(unknown[1], `"errcheck"`) {
+			t.Errorf("%d analyzers: want unknown-check findings for nosuchcheck and errcheck, got %v", len(analyzers), unknown)
+		}
 	}
 }
 
@@ -274,31 +366,6 @@ func TestByName(t *testing.T) {
 	}
 	if ByName("nope") != nil {
 		t.Fatal("ByName of unknown check must be nil")
-	}
-}
-
-func TestUnitOfBoundaries(t *testing.T) {
-	cases := []struct {
-		name   string
-		suffix string
-		ok     bool
-	}{
-		{"energyPJ", "PJ", true},
-		{"busyPs", "Ps", true},
-		{"Ps", "Ps", true},
-		{"t1Ns", "Ns", true},
-		{"ComputeCycles", "Cycles", true},
-		{"freqMHz", "MHz", true},
-		{"Caps", "", false}, // lowercase "ps" is not the Ps unit
-		{"ANs", "", false},  // no camelCase boundary before the suffix
-		{"frames", "", false},
-		{"staticMW", "MW", true},
-	}
-	for _, c := range cases {
-		suffix, _, ok := unitOf(c.name)
-		if ok != c.ok || suffix != c.suffix {
-			t.Errorf("unitOf(%q) = %q,%v; want %q,%v", c.name, suffix, ok, c.suffix, c.ok)
-		}
 	}
 }
 

@@ -4,29 +4,57 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// PathCheck is the CFG-path-aware upgrade of ErrCheck: it flags an error
+// PathCheck is the error-flow analyzer. Its path rule flags an error
 // variable that is assigned from a call and then, on at least one
 // control-flow path, is overwritten or reaches the function exit without
-// ever being read. ErrCheck only sees the statement-level drop
-// (`f.Close()` as an expression statement); PathCheck sees
+// ever being read:
 //
 //	err := step1()
 //	if cond {
 //	        err = step2() // first error was never checked
 //	}
 //
-// which per-node inspection cannot. Reads anywhere count — returning the
-// error, comparing it, passing it to a function, wrapping it. Variables
+// which per-node inspection cannot see. Reads anywhere count — returning
+// the error, comparing it, passing it to a function, wrapping it. Variables
 // captured by a closure are skipped (the closure may read them at any
 // time), as are named result parameters (falling off the end returns
 // them, which is the caller's check).
+//
+// Its statement rule covers the drop no variable ever holds: in the I/O
+// layers (internal/trace, internal/record and the cmd/ tools) a call into
+// io, os, bufio, encoding/* or compress/* used as an expression statement
+// discards its error, which means a truncated trace file or a
+// silently-corrupt report. Assigning any result (including to _) is an
+// explicit, greppable acknowledgement, and `defer f.Close()` on read paths
+// is the accepted idiom, so defer/go statements are exempt.
 var PathCheck = &Analyzer{
 	Name: "pathcheck",
 	Doc: "flag error values that are assigned from a call and then overwritten or " +
-		"dropped at function exit without being read on some control-flow path",
+		"dropped at function exit without being read on some control-flow path, and " +
+		"(in internal/trace, internal/record and cmd/) statement-level calls into " +
+		"io/os/bufio/encoding/compress that discard an error result",
 	Run: runPathCheck,
+}
+
+// discardScope is where the statement rule applies: the layers that write
+// traces, recordings and reports.
+var discardScope = []string{
+	"mach/internal/trace",
+	"mach/internal/record",
+	"mach/cmd",
+}
+
+// ioPackage reports whether dropped errors from a callee owned by path are
+// flagged by the statement rule.
+func ioPackage(path string) bool {
+	switch path {
+	case "io", "os", "bufio":
+		return true
+	}
+	return strings.HasPrefix(path, "encoding/") || strings.HasPrefix(path, "compress/")
 }
 
 func runPathCheck(pass *Pass) {
@@ -46,6 +74,47 @@ func runPathCheck(pass *Pass) {
 				}
 				checkErrorPaths(pass, lit.Body, skip)
 			}
+			return true
+		})
+	}
+	if inScope(pass.Path, discardScope) {
+		checkDiscardedErrors(pass)
+	}
+}
+
+// checkDiscardedErrors applies the statement rule: an expression-statement
+// call into an I/O package whose last result is an error.
+func checkDiscardedErrors(pass *Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			stmt, ok := n.(*ast.ExprStmt)
+			if !ok {
+				return true
+			}
+			call, ok := stmt.X.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := calleeFunc(pass, call)
+			if fn == nil {
+				return true
+			}
+			sig := fn.Type().(*types.Signature)
+			if res := sig.Results(); res.Len() == 0 || !isErrorType(res.At(res.Len()-1).Type()) {
+				return true
+			}
+			pkg, name := fn.Pkg(), fn.Name()
+			if sig.Recv() != nil {
+				named := recvNamed(fn)
+				if named == nil {
+					return true
+				}
+				pkg, name = named.Obj().Pkg(), named.Obj().Name()+"."+name
+			}
+			if pkg == nil || !ioPackage(pkg.Path()) {
+				return true
+			}
+			pass.Reportf(call.Pos(), "error returned by %s is discarded; check it or assign it explicitly", name)
 			return true
 		})
 	}

@@ -80,16 +80,8 @@ func poolWorkerArg(pass *Pass, call *ast.CallExpr) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return 0, false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Pool" {
+	named := recvNamed(fn)
+	if named == nil || named.Obj().Name() != "Pool" {
 		return 0, false
 	}
 	switch fn.Name() {

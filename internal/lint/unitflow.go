@@ -4,10 +4,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// UnitFlow is the flow-sensitive successor of UnitSafety. The model
-// packages now declare named unit types (energy.Joules/Picojoules,
+// UnitFlow keeps energy, power, time and frequency from mixing. The model
+// packages declare named unit types (energy.Joules/Picojoules,
 // power.Watts/Milliwatts, sim.Time/Nanoseconds/Cycles/Hertz, dram.Bytes,
 // soc.MHz/BytesPerSecond); the compiler already rejects additive mixing of
 // two distinct named types, so what remains — and what this analyzer
@@ -22,10 +23,11 @@ import (
 //   - explicit conversions to plain numeric types (float64(j) keeps j's
 //     dimension — the conversion changes representation, not meaning);
 //   - struct fields and function results, via their declared unit types;
-//   - call boundaries, via the callee's result type, falling back to the
-//     unit suffix of the callee's name;
-//   - the UnitSafety suffix heuristic (energyPJ, busPs, …) for untyped
-//     locals, kept as the fallback for values no type ever touched.
+//   - call boundaries, via the callee's result type or, for a resolved
+//     module callee, its summary's result dimension; only an unresolved
+//     callee falls back to the unit suffix of its name;
+//   - a unit-suffix name heuristic (energyPJ, busPs, …) for locals and
+//     fields no type ever touched.
 //
 // Multiplication and division legitimately change dimension (power*time,
 // cycles/frequency) and yield an unknown dimension; conversions to a unit
@@ -61,16 +63,49 @@ var unitDimTable = map[string]string{
 	"BytesPerSecond": "bandwidth (B/s)",
 }
 
-// suffixDims aligns the UnitSafety name-suffix heuristic with the typed
-// table so a typed operand can conflict with a suffix-named one.
-var suffixDims = map[string]string{
-	"PJ":     "energy (pJ)",
-	"NJ":     "energy (nJ)",
-	"MW":     "power (mW)",
-	"Ps":     "time (ps)",
-	"Ns":     "time (ns)",
-	"Cycles": "cycle count",
-	"MHz":    "frequency (MHz)",
+// unitSuffixes maps a recognized identifier suffix to its dimension, in
+// the typed table's vocabulary so a typed operand can conflict with a
+// suffix-named one. Same dimension but different scale (PJ vs NJ) is
+// exactly the silent 1000x error this check exists for.
+var unitSuffixes = []struct {
+	suffix, dim string
+}{
+	{"Cycles", "cycle count"},
+	{"MHz", "frequency (MHz)"},
+	{"PJ", "energy (pJ)"},
+	{"NJ", "energy (nJ)"},
+	{"MW", "power (mW)"},
+	{"Ps", "time (ps)"},
+	{"Ns", "time (ns)"},
+}
+
+// unitOf extracts the unit suffix of a name, requiring a camelCase boundary
+// (the rune before the suffix must be a lowercase letter or digit, or the
+// name must be the suffix itself) so e.g. "Caps" is not read as ending in
+// "Ps".
+func unitOf(name string) (suffix, dim string, ok bool) {
+	for _, u := range unitSuffixes {
+		if !strings.HasSuffix(name, u.suffix) {
+			continue
+		}
+		rest := name[:len(name)-len(u.suffix)]
+		if rest == "" {
+			return u.suffix, u.dim, true
+		}
+		last := rest[len(rest)-1]
+		if last >= 'a' && last <= 'z' || last >= '0' && last <= '9' {
+			return u.suffix, u.dim, true
+		}
+	}
+	return "", "", false
+}
+
+// additiveOps are the operators where mixed dimensions are always a bug.
+var additiveOps = map[token.Token]bool{
+	token.ADD: true, token.SUB: true,
+	token.EQL: true, token.NEQ: true,
+	token.LSS: true, token.LEQ: true,
+	token.GTR: true, token.GEQ: true,
 }
 
 // typeDim returns the dimension a type carries, or "".
@@ -87,15 +122,13 @@ func typeDim(t types.Type) string {
 
 // suffixDim returns the dimension a bare name suggests, or "".
 func suffixDim(name string) string {
-	if s, _, ok := unitOf(name); ok {
-		return suffixDims[s]
-	}
-	return ""
+	_, dim, _ := unitOf(name)
+	return dim
 }
 
 type unitflowRun struct {
 	pass *Pass
-	// graph enables the interprocedural cases (machlint v3): result
+	// graph enables the interprocedural cases: result
 	// dimensions of resolved callees, and parameter-dimension checks at
 	// call sites. Nil in unit tests that exercise the intraprocedural core.
 	graph *callGraph
@@ -255,13 +288,15 @@ func (u *unitflowRun) dimOf(env factEnv, e ast.Expr) string {
 		}
 		// A real call: a resolved module callee's summary is authoritative
 		// for the dimension of a single plain-typed result — a Joules total
-		// returned through float64 keeps its dimension across the call. All
-		// dispatch targets must agree; a conflict means unknown.
-		if d, ok := u.calleeResultDim(e); ok {
+		// returned through float64 keeps its dimension across the call, and
+		// a body that rescales (nsFromPs: ps / 1000) yields unknown whatever
+		// the callee's name says. All dispatch targets must agree; a
+		// conflict means unknown.
+		if d, resolved := u.calleeResultDim(e); resolved {
 			return d
 		}
-		// Fall back to the unit suffix of the callee name
-		// (func totalPJ() float64 { … }).
+		// Only an unresolved callee falls back to the unit suffix of its
+		// name (func totalPJ() float64 declared out of sight).
 		switch fun := ast.Unparen(e.Fun).(type) {
 		case *ast.Ident:
 			return suffixDim(fun.Name)
@@ -287,9 +322,10 @@ func (u *unitflowRun) dimOf(env factEnv, e ast.Expr) string {
 }
 
 // calleeResultDim resolves the dimension of a call's single result from the
-// summaries of its resolved module callees. ok is false when the call is
-// unresolved, multi-result, or the dispatch targets disagree.
-func (u *unitflowRun) calleeResultDim(call *ast.CallExpr) (string, bool) {
+// summaries of its resolved module callees. resolved is false only when the
+// call graph has no target for the call; a resolved call whose result is
+// multi-valued, unknown, or disputed among dispatch targets yields "".
+func (u *unitflowRun) calleeResultDim(call *ast.CallExpr) (dim string, resolved bool) {
 	if u.graph == nil {
 		return "", false
 	}
@@ -297,19 +333,18 @@ func (u *unitflowRun) calleeResultDim(call *ast.CallExpr) (string, bool) {
 	if len(targets) == 0 {
 		return "", false
 	}
-	dim := ""
 	for _, t := range targets {
 		if t.sum == nil || len(t.sum.resultDims) != 1 {
-			return "", false
+			return "", true
 		}
 		d := t.sum.resultDims[0]
 		switch {
 		case d == "":
-			return "", false
+			return "", true
 		case dim == "":
 			dim = d
 		case dim != d:
-			return "", false
+			return "", true
 		}
 	}
 	return dim, true

@@ -7,7 +7,7 @@ import (
 
 // Watts is the canonical power quantity of every IP model (decoder P-state
 // power, display scan power, DRAM background power, radio states). It is a
-// named unit type (DESIGN.md "machlint v2: unit types"): mixing it
+// named unit type (DESIGN.md "Static analysis (machlint)"): mixing it
 // additively with energy or time fails to compile, and the unitflow
 // analyzer tracks its dimension through derived float locals. The
 // underlying float64 is unchanged, so wrapping existing fields is

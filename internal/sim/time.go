@@ -29,7 +29,7 @@ const Forever Time = 1 << 62
 
 // Nanoseconds is a duration expressed in floating-point nanoseconds — the
 // scale DRAM timing parameters and calibration constants are quoted in.
-// It is a named unit type (see DESIGN.md "machlint v2: unit types"): the
+// It is a named unit type (see DESIGN.md "Static analysis (machlint)"): the
 // unitflow analyzer propagates its dimension through assignments and calls,
 // and cross-dimension arithmetic fails to compile.
 type Nanoseconds float64

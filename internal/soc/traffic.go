@@ -15,7 +15,7 @@ import (
 )
 
 // BytesPerSecond is an average bandwidth. A named unit type (DESIGN.md
-// "machlint v2: unit types"): bandwidths cannot be added to byte counts or
+// "Static analysis (machlint)"): bandwidths cannot be added to byte counts or
 // durations without an explicit conversion.
 type BytesPerSecond float64
 

@@ -146,14 +146,14 @@ func Load(r io.Reader) (*Trace, error) {
 func writeUvarint(w *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
-	//lint:ignore errcheck bufio.Writer errors are sticky; Save's final Flush returns the first one
+	//lint:ignore pathcheck bufio.Writer errors are sticky; Save's final Flush returns the first one
 	w.Write(buf[:n])
 }
 
 func writeVarint(w *bufio.Writer, v int64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutVarint(buf[:], v)
-	//lint:ignore errcheck bufio.Writer errors are sticky; Save's final Flush returns the first one
+	//lint:ignore pathcheck bufio.Writer errors are sticky; Save's final Flush returns the first one
 	w.Write(buf[:n])
 }
 

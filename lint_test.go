@@ -1,13 +1,15 @@
 // Tier-1 enforcement of the machlint invariants: `go test ./...` fails if
 // any future change reintroduces wall-clock time or global randomness into
-// the simulation packages, mixes unit-suffixed or unit-typed quantities
-// (including flow-sensitively, after the dimension went through float64),
-// drops or double-counts a produced joule, leaves an error unchecked on
-// some control-flow path, compares floats for equality, compares a value
-// with itself, drops an I/O error in the trace/record/cmd layers, or
-// leaves a stale lint:ignore directive behind. This is the same suite
+// the simulation packages, mixes unit-typed or unit-suffixed quantities
+// (flow-sensitively, through float64 conversions and across calls), drops
+// or double-counts a produced joule, leaves a Snapshot/Restore field
+// uncovered, lets a pool worker touch shared state, leaves an error
+// unchecked on some control-flow path or drops an I/O error in the
+// trace/record/cmd layers, compares floats for equality, compares a value
+// with itself, allocates per frame on a hot path, or leaves a stale or
+// unknown lint:ignore directive behind. This is the same ten-analyzer suite
 // `go run ./cmd/machlint ./...` runs; see internal/lint and the
-// "Determinism & lint invariants" / "machlint v2" sections of DESIGN.md.
+// "Static analysis (machlint)" section of DESIGN.md.
 package mach
 
 import (
