@@ -66,7 +66,7 @@ func TestGoldenCorpusComplete(t *testing.T) {
 	if *updateGolden {
 		t.Skip("corpus being rewritten")
 	}
-	want := make(map[string]bool)
+	want := map[string]bool{traceDigestFile: true}
 	for _, key := range WorkloadKeys() {
 		want[key+".json"] = true
 	}
