@@ -3,54 +3,56 @@ package codec
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // BitWriter packs bits MSB-first into a byte slice. It is the entropy-coder
-// substrate; the decoder-IP timing model charges work per bit parsed.
+// substrate; the decoder-IP timing model charges work per bit parsed, so
+// Bits stays exact. Bits gather in a 64-bit accumulator and leave it a whole
+// byte at a time.
 type BitWriter struct {
 	buf  []byte
-	cur  byte
-	nCur uint // bits used in cur
+	acc  uint64 // the low nAcc bits are pending, most significant first
+	nAcc uint   // < 8 between puts
 	bits int64
 }
 
 // NewBitWriter returns an empty writer.
 func NewBitWriter() *BitWriter { return &BitWriter{} }
 
-// WriteBit appends one bit.
-func (w *BitWriter) WriteBit(b uint32) {
-	w.cur = w.cur<<1 | byte(b&1)
-	w.nCur++
-	w.bits++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
+// put appends the low n bits of v, most significant first. v must have no
+// bits set at or above n; n may reach 65 when v fits in 64 bits.
+func (w *BitWriter) put(v uint64, n uint) {
+	if n > 56 { // keep nAcc+n within the accumulator
+		w.put(v>>32, n-32)
+		v, n = v&(1<<32-1), 32
+	}
+	w.acc = w.acc<<n | v
+	w.nAcc += n
+	w.bits += int64(n)
+	for w.nAcc >= 8 {
+		w.nAcc -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.nAcc))
 	}
 }
+
+// WriteBit appends one bit.
+func (w *BitWriter) WriteBit(b uint32) { w.put(uint64(b&1), 1) }
 
 // WriteBits appends the low n bits of v, most significant first. n <= 32.
 func (w *BitWriter) WriteBits(v uint32, n uint) {
 	if n > 32 {
 		panic("codec: WriteBits n > 32")
 	}
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(v >> uint(i))
-	}
+	w.put(uint64(v)&(1<<n-1), n)
 }
 
-// WriteUE appends v as an unsigned Exp-Golomb code (as in H.264 ue(v)).
+// WriteUE appends v as an unsigned Exp-Golomb code (as in H.264 ue(v)): n
+// zeros, then the n+1 bits of v+1, written as one 2n+1-bit put.
 func (w *BitWriter) WriteUE(v uint32) {
 	x := uint64(v) + 1
-	n := uint(0)
-	for t := x; t > 1; t >>= 1 {
-		n++
-	}
-	for i := uint(0); i < n; i++ {
-		w.WriteBit(0)
-	}
-	for i := int(n); i >= 0; i-- {
-		w.WriteBit(uint32(x >> uint(i)))
-	}
+	n := uint(bits.Len64(x)) - 1
+	w.put(x, 2*n+1)
 }
 
 // WriteSE appends v as a signed Exp-Golomb code (se(v) mapping).
@@ -73,8 +75,8 @@ func (w *BitWriter) Bits() int64 { return w.bits }
 func (w *BitWriter) Bytes() []byte {
 	out := make([]byte, len(w.buf), len(w.buf)+1)
 	copy(out, w.buf)
-	if w.nCur > 0 {
-		out = append(out, w.cur<<(8-w.nCur))
+	if w.nAcc > 0 {
+		out = append(out, byte(w.acc<<(8-w.nAcc)))
 	}
 	return out
 }
@@ -83,30 +85,44 @@ func (w *BitWriter) Bytes() []byte {
 // decodes a malformed code.
 var ErrBitstream = errors.New("codec: malformed or truncated bitstream")
 
-// BitReader consumes bits MSB-first from a byte slice.
+// errUEPrefix reports an Exp-Golomb prefix of more than 32 zeros.
+var errUEPrefix = fmt.Errorf("%w: ue prefix too long", ErrBitstream)
+
+// BitReader consumes bits MSB-first from a byte slice. Bytes load into a
+// 64-bit window; reads take bits off its top.
 type BitReader struct {
 	buf  []byte
-	pos  int  // byte position
-	nCur uint // bits consumed from buf[pos]
+	pos  int    // next byte to load into acc
+	acc  uint64 // unread bits, left-aligned; bits below the top nAcc are zero
+	nAcc uint
 	bits int64
 }
 
 // NewBitReader wraps data for reading.
 func NewBitReader(data []byte) *BitReader { return &BitReader{buf: data} }
 
+// refill loads whole bytes until the window holds more than 56 bits or the
+// stream is exhausted.
+func (r *BitReader) refill() {
+	for r.nAcc <= 56 && r.pos < len(r.buf) {
+		r.acc |= uint64(r.buf[r.pos]) << (56 - r.nAcc)
+		r.pos++
+		r.nAcc += 8
+	}
+}
+
+// take consumes n <= 64 bits the window is known to hold.
+func (r *BitReader) take(n uint) uint64 {
+	v := r.acc >> (64 - n) // a shift by 64 yields 0, so take(0) is 0
+	r.acc <<= n
+	r.nAcc -= n
+	r.bits += int64(n)
+	return v
+}
+
 // ReadBit consumes one bit.
 func (r *BitReader) ReadBit() (uint32, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrBitstream
-	}
-	b := (r.buf[r.pos] >> (7 - r.nCur)) & 1
-	r.nCur++
-	r.bits++
-	if r.nCur == 8 {
-		r.nCur = 0
-		r.pos++
-	}
-	return uint32(b), nil
+	return r.ReadBits(1)
 }
 
 // ReadBits consumes n bits (n <= 32) and returns them right-aligned.
@@ -114,33 +130,29 @@ func (r *BitReader) ReadBits(n uint) (uint32, error) {
 	if n > 32 {
 		panic("codec: ReadBits n > 32")
 	}
-	var v uint32
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+	if r.nAcc < n {
+		r.refill()
+		if r.nAcc < n {
+			return 0, ErrBitstream
 		}
-		v = v<<1 | b
 	}
-	return v, nil
+	return uint32(r.take(n)), nil
 }
 
 // ReadUE consumes an unsigned Exp-Golomb code.
 func (r *BitReader) ReadUE() (uint32, error) {
-	n := uint(0)
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		n++
-		if n > 32 {
-			return 0, fmt.Errorf("%w: ue prefix too long", ErrBitstream)
-		}
+	r.refill()
+	n := uint(bits.LeadingZeros64(r.acc))
+	switch {
+	case n > 32 && r.nAcc > 32:
+		// More than 32 zeros are in the window, whether or not a one
+		// follows them.
+		return 0, errUEPrefix
+	case n >= r.nAcc:
+		// The stream ends inside the prefix.
+		return 0, ErrBitstream
 	}
+	r.take(n + 1)
 	rest, err := r.ReadBits(n)
 	if err != nil {
 		return 0, err

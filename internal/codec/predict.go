@@ -108,9 +108,11 @@ func IntraPredict(recon *Frame, x0, y0, size int, mode IntraMode, dst []byte) {
 }
 
 // BestIntraMode evaluates all intra modes against src and returns the one
-// with the lowest SAD (and that SAD).
+// with the lowest SAD (and that SAD). The prediction scratch lives on the
+// stack, sized for the largest mab.
 func BestIntraMode(recon *Frame, x0, y0, size int, src []byte) (IntraMode, int) {
-	pred := make([]byte, size*size*BytesPerPixel)
+	var buf [16 * 16 * BytesPerPixel]byte
+	pred := buf[:size*size*BytesPerPixel]
 	best, bestSAD := IntraDC, int(^uint(0)>>1)
 	for m := IntraMode(0); m < numIntraModes; m++ {
 		IntraPredict(recon, x0, y0, size, m, pred)

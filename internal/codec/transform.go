@@ -33,24 +33,48 @@ func transpose(m []int32, n int) {
 	}
 }
 
+// hadamard2D applies the N-point Hadamard butterfly to every row and then
+// every column of the NxN block. The default 4x4 mab takes the unrolled
+// hadamard4; other sizes run the generic butterfly.
+func hadamard2D(m []int32, n int) {
+	if n == 4 {
+		hadamard4(m)
+		return
+	}
+	hadamardRows(m, n)
+	transpose(m, n)
+	hadamardRows(m, n)
+	transpose(m, n)
+}
+
+// hadamard4 is the 4x4 case of hadamard2D with both butterfly stages
+// unrolled: the same additions on the same values, so the same int32 result.
+func hadamard4(m []int32) {
+	m = m[:16]
+	for r := 0; r < 16; r += 4 {
+		s0, d0 := m[r]+m[r+1], m[r]-m[r+1]
+		s1, d1 := m[r+2]+m[r+3], m[r+2]-m[r+3]
+		m[r], m[r+1], m[r+2], m[r+3] = s0+s1, d0+d1, s0-s1, d0-d1
+	}
+	for c := 0; c < 4; c++ {
+		s0, d0 := m[c]+m[c+4], m[c]-m[c+4]
+		s1, d1 := m[c+8]+m[c+12], m[c+8]-m[c+12]
+		m[c], m[c+4], m[c+8], m[c+12] = s0+s1, d0+d1, s0-s1, d0-d1
+	}
+}
+
 // ForwardTransform computes the 2-D Hadamard transform of the NxN residual
 // block in place. n must be a power of two in [2, 16].
 func ForwardTransform(block []int32, n int) {
 	checkTransformShape(block, n)
-	hadamardRows(block, n)
-	transpose(block, n)
-	hadamardRows(block, n)
-	transpose(block, n)
+	hadamard2D(block, n)
 }
 
 // InverseTransform inverts ForwardTransform in place, including the N*N
 // normalization, with round-to-nearest so quantized paths stay centred.
 func InverseTransform(block []int32, n int) {
 	checkTransformShape(block, n)
-	hadamardRows(block, n)
-	transpose(block, n)
-	hadamardRows(block, n)
-	transpose(block, n)
+	hadamard2D(block, n)
 	scale := int32(n * n)
 	half := scale / 2
 	for i, v := range block {
@@ -100,17 +124,23 @@ func Dequantize(block []int32, step int32) {
 	}
 }
 
-// zigzagCache memoizes scan orders per block size.
-var zigzagCache = map[int][]int{}
+// zigzagTables holds the scan order of every mab size Params allows, built
+// once at package initialization and only read afterwards, so the codec
+// shares no mutable state between concurrent encoders and decoders.
+var zigzagTables = [17][]int{2: zigzagOrder(2), 4: zigzagOrder(4), 8: zigzagOrder(8), 16: zigzagOrder(16)}
 
 // ZigZag returns the zig-zag scan order for an NxN block: the permutation
 // from raster index to scan position, ordering coefficients by increasing
 // anti-diagonal (low frequencies first), which groups trailing zeros for the
-// run-length coder.
+// run-length coder. The returned slice is shared and must not be modified.
 func ZigZag(n int) []int {
-	if z, ok := zigzagCache[n]; ok {
-		return z
+	if n >= 0 && n < len(zigzagTables) && zigzagTables[n] != nil {
+		return zigzagTables[n]
 	}
+	return zigzagOrder(n)
+}
+
+func zigzagOrder(n int) []int {
 	order := make([]int, 0, n*n)
 	for s := 0; s <= 2*(n-1); s++ {
 		if s%2 == 0 { // walk up-right
@@ -123,7 +153,6 @@ func ZigZag(n int) []int {
 			}
 		}
 	}
-	zigzagCache[n] = order
 	return order
 }
 
