@@ -181,7 +181,9 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "machfleet: planning %d sessions over %d shards (seed %d)...\n",
 		*sessions, *shards, *seed)
+	buildStart := time.Now()
 	sup, err := fleet.NewSupervisor(cfg)
+	buildWall := time.Since(buildStart)
 	if err != nil {
 		if errors.Is(err, fleet.ErrConfig) {
 			usage("%v", err)
@@ -243,7 +245,8 @@ func main() {
 	}
 	fmt.Print(agg)
 	if *verbose {
-		fmt.Printf("  wall time: %v\n", time.Since(start).Round(time.Millisecond))
+		fmt.Printf("  trace build: %v\n", buildWall.Round(time.Millisecond))
+		fmt.Printf("  run: %v\n", time.Since(start).Round(time.Millisecond))
 	}
 }
 
