@@ -182,7 +182,7 @@ type Writeback struct {
 	cfg     Config
 	current *digestCache
 	history []*digestCache // newest first
-	co *coMach // reset empty at the top of every ProcessFrame (§6.3); no cross-frame state
+	co      *coMach        // reset empty at the top of every ProcessFrame (§6.3); no cross-frame state
 
 	stats  Stats
 	shadow map[uint64][16]byte // ptr -> content fingerprint (TrackCollisions)
