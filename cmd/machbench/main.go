@@ -3,15 +3,12 @@
 //
 //	machbench -out BENCH_machsim.json            # regenerate at full scale
 //	machbench -videos 4 -frames 16 -out /tmp/b.json
-//	machbench -check -check-file BENCH_machsim.json -min-speedup 1.8 \
-//	          -min-engine-speedup 1.3 -max-stepframe-allocs 0
+//	machbench -check -check-file BENCH_machsim.json -max-stepframe-allocs 0
 //
 // In -check mode no benchmarks run: the file is validated against the
-// schema, every sweep/par* row must meet -min-speedup, the engine/par*
-// rows' geomean speedup must meet -min-engine-speedup, and every
-// engine/stepframe/* row must stay at or under -max-stepframe-allocs
-// allocs per frame. Exit codes: 0 success, 1 harness error or failed
-// check, 2 invalid usage.
+// schema (unknown keys are errors), and every engine/stepframe/* row must
+// stay at or under -max-stepframe-allocs allocs per frame. Exit codes: 0
+// success, 1 harness error or failed check, 2 invalid usage.
 package main
 
 import (
@@ -28,7 +25,6 @@ func main() {
 	var (
 		out        = flag.String("out", "BENCH_machsim.json", "report file to write")
 		merge      = flag.Bool("merge", false, "merge into an existing -out file instead of replacing it")
-		workers    = flag.Int("workers", 4, "parallel-engine width to benchmark")
 		frames     = flag.Int("frames", 48, "frames per workload")
 		width      = flag.Int("width", 320, "frame width")
 		height     = flag.Int("height", 180, "frame height")
@@ -36,8 +32,6 @@ func main() {
 		iterations = flag.Int("iterations", 2, "timed iterations per cell (fastest wins)")
 		check      = flag.Bool("check", false, "validate a report instead of running benchmarks")
 		checkFile  = flag.String("check-file", "BENCH_machsim.json", "report to validate in -check mode")
-		minSpeedup = flag.Float64("min-speedup", 1.8, "minimum speedup_vs_seq every sweep/par* row must meet in -check mode")
-		minEngine  = flag.Float64("min-engine-speedup", 1.3, "minimum geomean speedup_vs_seq across engine/par* rows in -check mode")
 		maxAllocs  = flag.Float64("max-stepframe-allocs", 0, "maximum allocs_per_op any engine/stepframe/* row may report in -check mode")
 	)
 	flag.Parse()
@@ -47,23 +41,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := rep.Check("sweep/par", *minSpeedup); err != nil {
-			fatal(err)
-		}
-		if err := rep.CheckGeomean("engine/par", *minEngine); err != nil {
-			fatal(err)
-		}
 		if err := rep.CheckAllocs("engine/stepframe/", *maxAllocs); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("machbench: %s: %d records ok; sweep/par* >= %.2fx, engine/par* geomean >= %.2fx, engine/stepframe/* <= %g allocs/op\n",
-			*checkFile, len(rep.Records), *minSpeedup, *minEngine, *maxAllocs)
+		fmt.Printf("machbench: %s: %d records ok; engine/stepframe/* <= %g allocs/op\n",
+			*checkFile, len(rep.Records), *maxAllocs)
 		return
 	}
 
-	if *workers < 2 || *workers > 256 {
-		usage("-workers %d: want a width in [2,256]", *workers)
-	}
 	if *frames < 1 || *iterations < 1 {
 		usage("-frames/-iterations must be positive")
 	}
@@ -84,7 +69,6 @@ func main() {
 	rep, err := bench.Run(bench.Options{
 		Videos:     keys,
 		Stream:     sc,
-		Workers:    *workers,
 		Iterations: *iterations,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "machbench: "+format+"\n", args...)
@@ -108,9 +92,8 @@ func main() {
 		fatal(err)
 	}
 	seq, _ := rep.Find("sweep/seq")
-	par, _ := rep.Find(fmt.Sprintf("sweep/par%d", *workers))
-	fmt.Printf("machbench: wrote %s (%d records): sweep %.1fms seq, %.1fms scheduled on %d workers (%.2fx)\n",
-		*out, len(rep.Records), float64(seq.NsPerOp)/1e6, float64(par.NsPerOp)/1e6, *workers, par.SpeedupVsSeq)
+	fmt.Printf("machbench: wrote %s (%d records): sweep %.1fms seq\n",
+		*out, len(rep.Records), float64(seq.NsPerOp)/1e6)
 }
 
 func usage(format string, args ...any) {

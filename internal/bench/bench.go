@@ -1,23 +1,16 @@
 // Package bench defines the benchmark regression report the repository
 // commits as BENCH_machsim.json and the harness that regenerates it. A
 // report is a flat list of records — one per timed cell — with a fixed
-// schema (name, iterations, ns_per_op, mabs_per_sec, speedup_vs_seq) so CI
-// can validate it without knowing which harness produced which row:
+// schema (name, iterations, ns_per_op, mabs_per_sec, allocs_per_op,
+// bytes_per_op) so CI can validate it without knowing which harness
+// produced which row. Every row is a wall-clock or heap measurement taken
+// on the host that wrote the file:
 //
-//   - engine/seq/<V>    sequential core.Run over workload <V>
-//   - engine/par<N>/<V> the same run with the N-wide deterministic engine;
-//     its speedup_vs_seq is the Amdahl work-conserving bound computed
-//     from the prehash wall time measured inside the sequential run
-//     (only the prehash phase parallelizes; see EXPERIMENTS.md)
+//   - engine/seq/<V>    one whole core.Runner replay of workload <V>
 //   - engine/stepframe/<V> steady-state Runner.StepFrame cost after pool
 //     warm-up; allocs_per_op/bytes_per_op carry its measured heap traffic
 //     (gated at zero)
 //   - sweep/seq         the 16-profile sweep run back to back
-//   - sweep/par<N>      the same sweep scheduled onto N workers; its
-//     speedup_vs_seq is the work-conserving scheduled speedup
-//     sum(costs)/Makespan(costs, N) computed from the measured
-//     per-profile costs (see EXPERIMENTS.md for why wall-clock sweep
-//     speedup is not reported on single-core CI runners)
 //   - gotest/Benchmark* rows merged in from `go test -bench` wrappers
 //
 // Records are kept sorted by name and files are rewritten atomically, so
@@ -26,9 +19,11 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,19 +36,18 @@ import (
 // rows (engine/stepframe/*); on every other row AllocsPerOp/BytesPerOp
 // stay zero, the schema's usual "not applicable to this row" value.
 type Record struct {
-	Name         string  `json:"name"`
-	Iterations   int64   `json:"iterations"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	MabsPerSec   float64 `json:"mabs_per_sec"`
-	SpeedupVsSeq float64 `json:"speedup_vs_seq"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
+	Name        string  `json:"name"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     int64   `json:"ns_per_op"`
+	MabsPerSec  float64 `json:"mabs_per_sec"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
 // Validate checks one record against the schema: a non-empty name, at
 // least one iteration, positive time, and non-negative rates. A zero
-// MabsPerSec or SpeedupVsSeq means "not applicable to this row" (micro
-// benchmarks have no mab throughput; sequential rows have no speedup).
+// MabsPerSec means "not applicable to this row" (micro benchmarks have no
+// mab throughput).
 func (r Record) Validate() error {
 	switch {
 	case r.Name == "":
@@ -64,8 +58,6 @@ func (r Record) Validate() error {
 		return fmt.Errorf("bench: %s: ns_per_op %d <= 0", r.Name, r.NsPerOp)
 	case r.MabsPerSec < 0:
 		return fmt.Errorf("bench: %s: mabs_per_sec %g < 0", r.Name, r.MabsPerSec)
-	case r.SpeedupVsSeq < 0:
-		return fmt.Errorf("bench: %s: speedup_vs_seq %g < 0", r.Name, r.SpeedupVsSeq)
 	case r.AllocsPerOp < 0:
 		return fmt.Errorf("bench: %s: allocs_per_op %g < 0", r.Name, r.AllocsPerOp)
 	case r.BytesPerOp < 0:
@@ -117,62 +109,6 @@ func (p *Report) Validate() error {
 	return nil
 }
 
-// Check validates the report and then enforces the regression gate: every
-// record whose name matches prefix must report speedup_vs_seq >= min.
-// With an empty prefix only the schema is checked.
-func (p *Report) Check(prefix string, min float64) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if prefix == "" {
-		return nil
-	}
-	matched := 0
-	for _, r := range p.Records {
-		if !strings.HasPrefix(r.Name, prefix) {
-			continue
-		}
-		matched++
-		if r.SpeedupVsSeq < min {
-			return fmt.Errorf("bench: %s: speedup_vs_seq %.3f below the %.2f gate", r.Name, r.SpeedupVsSeq, min)
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("bench: no record matches gate prefix %q", prefix)
-	}
-	return nil
-}
-
-// CheckGeomean validates the report and then enforces an aggregate gate:
-// the geometric mean of speedup_vs_seq over every record matching prefix
-// must be >= min. Per-workload jitter on a shared CI runner can push a
-// single cell under the bar; the geomean asks that the engine win across
-// the sweep, which is the property the refactors actually promise.
-func (p *Report) CheckGeomean(prefix string, min float64) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	logSum, matched := 0.0, 0
-	for _, r := range p.Records {
-		if !strings.HasPrefix(r.Name, prefix) {
-			continue
-		}
-		matched++
-		if r.SpeedupVsSeq <= 0 {
-			return fmt.Errorf("bench: %s: speedup_vs_seq %g not positive; cannot enter the %q geomean", r.Name, r.SpeedupVsSeq, prefix)
-		}
-		logSum += math.Log(r.SpeedupVsSeq)
-	}
-	if matched == 0 {
-		return fmt.Errorf("bench: no record matches geomean gate prefix %q", prefix)
-	}
-	geomean := math.Exp(logSum / float64(matched))
-	if geomean < min {
-		return fmt.Errorf("bench: %s* geomean speedup %.3f below the %.2f gate (%d records)", prefix, geomean, min, matched)
-	}
-	return nil
-}
-
 // CheckAllocs validates the report and then enforces the heap gate: every
 // record matching prefix must report allocs_per_op <= max. The committed
 // engine/stepframe/* rows hold max = 0 — the steady-state frame step is
@@ -197,15 +133,23 @@ func (p *Report) CheckAllocs(prefix string, max float64) error {
 	return nil
 }
 
-// ReadFile loads a report.
+// ReadFile loads a report. A key outside the schema (a misspelt field, or
+// one a past schema had) is an error, as is anything after the report
+// object, so a stale or hand-edited file fails -check instead of passing
+// with the key silently dropped.
 func ReadFile(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var p Report
-	if err := json.Unmarshal(data, &p); err != nil {
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", path, err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("bench: %s: data after the report object", path)
 	}
 	return &p, nil
 }

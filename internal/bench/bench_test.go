@@ -11,7 +11,7 @@ import (
 )
 
 func validRecord(name string) Record {
-	return Record{Name: name, Iterations: 2, NsPerOp: 1000, MabsPerSec: 1e6, SpeedupVsSeq: 1}
+	return Record{Name: name, Iterations: 2, NsPerOp: 1000, MabsPerSec: 1e6}
 }
 
 func TestRecordValidate(t *testing.T) {
@@ -23,7 +23,6 @@ func TestRecordValidate(t *testing.T) {
 		{Name: "x", Iterations: 0, NsPerOp: 1},
 		{Name: "x", Iterations: 1, NsPerOp: 0},
 		{Name: "x", Iterations: 1, NsPerOp: 1, MabsPerSec: -1},
-		{Name: "x", Iterations: 1, NsPerOp: 1, SpeedupVsSeq: -0.1},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -50,53 +49,56 @@ func TestReportAddReplacesAndSorts(t *testing.T) {
 	}
 }
 
+// TestReportCheck covers the schema half of `machbench -check`:
+// Report.Validate rejects duplicate names and any invalid record.
 func TestReportCheck(t *testing.T) {
 	var p Report
 	p.Add(validRecord("engine/seq/V1"))
-	fast := validRecord("sweep/par4")
-	fast.SpeedupVsSeq = 3.7
-	p.Add(fast)
-	if err := p.Check("sweep/par", 1.8); err != nil {
+	p.Add(validRecord("sweep/seq"))
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Check("sweep/par", 3.8); err == nil {
-		t.Fatal("below-gate speedup passed")
-	}
-	if err := p.Check("nosuch/", 1); err == nil {
-		t.Fatal("unmatched prefix passed")
-	}
 	dup := Report{Records: []Record{validRecord("a"), validRecord("a")}}
-	if err := dup.Check("", 0); err == nil {
+	if err := dup.Validate(); err == nil {
 		t.Fatal("duplicate names passed")
+	}
+	bad := Report{Records: []Record{validRecord("a"), {Name: "b"}}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("invalid record passed")
 	}
 }
 
-func TestReportCheckGeomean(t *testing.T) {
-	var p Report
-	for name, speedup := range map[string]float64{
-		"engine/par4/V1": 1.2,
-		"engine/par4/V2": 1.5,
-		"engine/par4/V3": 1.4,
-	} {
-		r := validRecord(name)
-		r.SpeedupVsSeq = speedup
-		p.Add(r)
+// TestReadFileRejectsUnknownKeys: a key outside the schema, such as the
+// retired speedup_vs_seq or a misspelt field, fails the load instead of
+// being dropped; so does trailing data after the report.
+func TestReadFileRejectsUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	cases := map[string]string{
+		"stale":    `{"records":[{"name":"sweep/seq","iterations":2,"ns_per_op":5,"mabs_per_sec":1,"speedup_vs_seq":1,"allocs_per_op":0,"bytes_per_op":0}]}`,
+		"misspelt": `{"records":[{"name":"sweep/seq","iterations":2,"ns_per_ops":5}]}`,
+		"top":      `{"records":[],"host":"x"}`,
+		"trailing": `{"records":[]} {"records":[]}`,
 	}
-	// geomean(1.2, 1.5, 1.4) ~= 1.362
-	if err := p.CheckGeomean("engine/par", 1.3); err != nil {
+	for name, body := range cases {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+	path := filepath.Join(dir, "ok.json")
+	ok := `{"records":[{"name":"sweep/seq","iterations":2,"ns_per_op":5,"mabs_per_sec":1,"allocs_per_op":0,"bytes_per_op":0}]}` + "\n"
+	if err := os.WriteFile(path, []byte(ok), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CheckGeomean("engine/par", 1.4); err == nil {
-		t.Fatal("below-gate geomean passed")
+	p, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := p.CheckGeomean("nosuch/", 1); err == nil {
-		t.Fatal("unmatched prefix passed")
-	}
-	zero := validRecord("engine/par4/V9")
-	zero.SpeedupVsSeq = 0
-	p.Add(zero)
-	if err := p.CheckGeomean("engine/par", 0.1); err == nil {
-		t.Fatal("zero speedup entered the geomean")
+	if len(p.Records) != 1 || p.Records[0].NsPerOp != 5 {
+		t.Fatalf("loaded %+v", p.Records)
 	}
 }
 
@@ -146,7 +148,7 @@ func TestFileRoundTripAndAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"name"`, `"iterations"`, `"ns_per_op"`, `"mabs_per_sec"`, `"speedup_vs_seq"`} {
+	for _, field := range []string{`"name"`, `"iterations"`, `"ns_per_op"`, `"mabs_per_sec"`, `"allocs_per_op"`, `"bytes_per_op"`} {
 		if !strings.Contains(string(data), field) {
 			t.Errorf("schema field %s missing from file:\n%s", field, data)
 		}
@@ -157,8 +159,8 @@ func TestFileRoundTripAndAppend(t *testing.T) {
 }
 
 // TestHarnessTinyRun exercises the full harness at a smoke scale and checks
-// the report shape: one seq + one par row per workload, the two sweep rows,
-// a valid schema throughout, and a sweep scheduled speedup in (1, workers].
+// the report shape: one seq and one stepframe row per workload, the sweep
+// row, and a valid schema throughout.
 func TestHarnessTinyRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times full pipeline runs")
@@ -168,7 +170,6 @@ func TestHarnessTinyRun(t *testing.T) {
 	rep, err := Run(Options{
 		Videos:     []string{"V1", "V4", "V8"},
 		Stream:     sc,
-		Workers:    4,
 		Iterations: 1,
 	})
 	if err != nil {
@@ -177,22 +178,16 @@ func TestHarnessTinyRun(t *testing.T) {
 	if err := rep.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(rep.Records), 3*3+2; got != want {
+	if got, want := len(rep.Records), 3*2+1; got != want {
 		t.Fatalf("got %d records, want %d: %+v", got, want, rep.Records)
 	}
+	var seqSum int64
 	for _, key := range []string{"V1", "V4", "V8"} {
-		if _, ok := rep.Find("engine/seq/" + key); !ok {
+		seq, ok := rep.Find("engine/seq/" + key)
+		if !ok {
 			t.Errorf("missing engine/seq/%s", key)
 		}
-		par, ok := rep.Find("engine/par4/" + key)
-		if !ok {
-			t.Errorf("missing engine/par4/%s", key)
-		}
-		// The Amdahl bound splits only the prehash phase, so the scheduled
-		// speedup must land in [1, workers].
-		if par.SpeedupVsSeq < 1 || par.SpeedupVsSeq > 4 {
-			t.Errorf("engine/par4/%s speedup %.3f outside [1,4]", key, par.SpeedupVsSeq)
-		}
+		seqSum += seq.NsPerOp
 		step, ok := rep.Find("engine/stepframe/" + key)
 		if !ok {
 			t.Errorf("missing engine/stepframe/%s", key)
@@ -209,16 +204,7 @@ func TestHarnessTinyRun(t *testing.T) {
 	if !ok || seq.MabsPerSec <= 0 {
 		t.Fatalf("sweep/seq missing or rate-less: %+v", seq)
 	}
-	par4, ok := rep.Find("sweep/par4")
-	if !ok {
-		t.Fatal("missing sweep/par4")
-	}
-	// Three independent jobs on four workers schedule as max(cost), so the
-	// speedup must exceed 1 and cannot exceed the worker count.
-	if par4.SpeedupVsSeq <= 1 || par4.SpeedupVsSeq > 4 {
-		t.Fatalf("sweep/par4 speedup %.3f outside (1,4]", par4.SpeedupVsSeq)
-	}
-	if par4.NsPerOp >= seq.NsPerOp {
-		t.Fatalf("scheduled makespan %d not below sequential total %d", par4.NsPerOp, seq.NsPerOp)
+	if seq.NsPerOp != seqSum {
+		t.Fatalf("sweep/seq %d ns, want the engine/seq/* sum %d", seq.NsPerOp, seqSum)
 	}
 }

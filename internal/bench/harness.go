@@ -3,28 +3,25 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"mach/internal/core"
-	"mach/internal/par"
 	"mach/internal/trace"
 	"mach/internal/video"
 )
 
 // Options scales a harness run. Zero values select the committed-report
 // scale: every workload, 48 frames at the calibrated 320x180 resolution,
-// a 4-wide parallel engine, best-of-2 timing.
+// best-of-2 timing.
 type Options struct {
 	// Videos are the workload keys to time (default: all 16).
 	Videos []string
 	// Stream is the synthesis scale (default: DefaultStreamConfig with 48
 	// frames).
 	Stream video.StreamConfig
-	// Platform is the simulated platform; Platform.Parallel is ignored
-	// (the harness sets it per cell).
+	// Platform is the simulated platform (default core.DefaultConfig).
 	Platform core.Config
-	// Workers is the parallel-engine width under test (default 4).
-	Workers int
 	// Iterations is how many times each cell is timed; the fastest
 	// iteration is reported, the standard way to reject scheduler noise
 	// (default 2).
@@ -50,9 +47,6 @@ func (o *Options) fill() {
 		o.Platform = core.DefaultConfig()
 	}
 	o.Platform.CollectFrameSamples = false
-	if o.Workers <= 1 {
-		o.Workers = 4
-	}
 	if o.Iterations < 1 {
 		o.Iterations = 2
 	}
@@ -62,29 +56,19 @@ func (o *Options) fill() {
 }
 
 // Run times the engine over every workload and returns the report. Three
-// row families come out of it:
+// row families come out of it, all measured on the host running it:
 //
-//   - engine/seq/<V>: measured wall time of the sequential engine.
-//   - engine/par<N>/<V>: the N-wide engine's scheduled time. Only the
-//     writeback prehash phase is parallel (the classification phase is
-//     serially dependent on MACH state), so the row reports the Amdahl
-//     work-conserving bound T_seq - P + P/N where P is the prehash wall
-//     time measured inside the sequential run. Like sweep/par<N>, this is
-//     the speedup N free cores achieve, computed without needing N idle
-//     cores on the machine running the harness (see EXPERIMENTS.md).
+//   - engine/seq/<V>: wall time of one whole replay of workload <V>.
 //   - engine/stepframe/<V>: steady-state per-frame cost and heap traffic
 //     of Runner.StepFrame, measured after the pools and free lists have
 //     warmed up. Its allocs_per_op/bytes_per_op are the fields the
 //     0-allocs/op gate checks.
-//
-// The sweep/seq and sweep/par<N> rows aggregate the per-workload costs as
-// before: scheduled speedup sum(costs)/Makespan over the measured
-// sequential costs.
+//   - sweep/seq: the engine/seq/* wall times summed, the 16-profile sweep
+//     run back to back.
 func Run(opts Options) (*Report, error) {
 	opts.fill()
 	rep := &Report{}
-	costs := make([]int64, 0, len(opts.Videos))
-	var totalMabs int64
+	var seqTotal, totalMabs int64
 	for _, key := range opts.Videos {
 		tr, err := core.BuildTrace(key, opts.Stream)
 		if err != nil {
@@ -97,21 +81,13 @@ func Run(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		costs = append(costs, seqNs)
+		seqTotal += seqNs
 
 		rep.Add(Record{
 			Name:       fmt.Sprintf("engine/seq/%s", key),
 			Iterations: int64(opts.Iterations),
 			NsPerOp:    seqNs,
 			MabsPerSec: rate(mabs, seqNs),
-		})
-		parNs := amdahl(seqNs, prehashNs, opts.Workers)
-		rep.Add(Record{
-			Name:         fmt.Sprintf("engine/par%d/%s", opts.Workers, key),
-			Iterations:   int64(opts.Iterations),
-			NsPerOp:      parNs,
-			MabsPerSec:   rate(mabs, parNs),
-			SpeedupVsSeq: ratio(seqNs, parNs),
 		})
 
 		step, err := measureStepFrame(key, opts)
@@ -121,48 +97,28 @@ func Run(opts Options) (*Report, error) {
 		rep.Add(step)
 
 		if opts.Logf != nil {
-			opts.Logf("%s: seq %.1fms  par%d %.1fms scheduled (prehash %.0f%%)  step %.0f allocs/frame",
-				key, float64(seqNs)/1e6, opts.Workers, float64(parNs)/1e6,
-				100*float64(prehashNs)/float64(seqNs), step.AllocsPerOp)
+			opts.Logf("%s: seq %.1fms (prehash %.0f%%)  step %.0f allocs/frame",
+				key, float64(seqNs)/1e6, 100*float64(prehashNs)/float64(seqNs), step.AllocsPerOp)
 		}
 	}
 
-	var seqTotal int64
-	for _, c := range costs {
-		seqTotal += c
-	}
 	rep.Add(Record{
 		Name:       "sweep/seq",
 		Iterations: int64(opts.Iterations),
 		NsPerOp:    seqTotal,
 		MabsPerSec: rate(totalMabs, seqTotal),
 	})
-	// The sweep cells are independent runs, so scheduling the measured
-	// costs onto opts.Workers workers (greedy list scheduling, the same
-	// policy par.Pool's cursor implements) gives the sweep's parallel
-	// makespan without needing idle cores on the machine running the
-	// harness.
-	makespan := par.Makespan(costs, opts.Workers)
-	rep.Add(Record{
-		Name:         fmt.Sprintf("sweep/par%d", opts.Workers),
-		Iterations:   int64(opts.Iterations),
-		NsPerOp:      makespan,
-		MabsPerSec:   rate(totalMabs, makespan),
-		SpeedupVsSeq: ratio(seqTotal, makespan),
-	})
 	return rep, nil
 }
 
-// timeRun replays the trace opts.Iterations times on the sequential engine
-// and returns the fastest wall time plus that iteration's prehash wall
-// time, both in nanoseconds (minimum 1ns so records stay schema-valid even
-// on a clock with coarse resolution).
+// timeRun replays the trace opts.Iterations times and returns the fastest
+// wall time plus that iteration's prehash phase time, both in nanoseconds
+// (minimum 1ns so records stay schema-valid even on a clock with coarse
+// resolution).
 func timeRun(tr *trace.Trace, opts Options) (wallNs, prehashNs int64, err error) {
-	cfg := opts.Platform
-	cfg.Parallel = 0
 	best, bestPrehash := int64(0), int64(0)
 	for i := 0; i < opts.Iterations; i++ {
-		r, err := core.NewRunner(tr, opts.Scheme, cfg)
+		r, err := core.NewRunner(tr, opts.Scheme, opts.Platform)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -191,26 +147,15 @@ func timeRun(tr *trace.Trace, opts Options) (wallNs, prehashNs int64, err error)
 	return best, bestPrehash, nil
 }
 
-// amdahl returns the scheduled wall time of a run whose only parallel
-// phase measured prehashNs out of seqNs total: the serial remainder plus
-// the prehash work split evenly across workers. This is the
-// work-conserving bound the deterministic sharded prehash achieves on
-// `workers` free cores (shard order never affects results, so the bound
-// is tight up to the last shard's tail).
-func amdahl(seqNs, prehashNs int64, workers int) int64 {
-	ns := seqNs - prehashNs + prehashNs/int64(workers)
-	if ns < 1 {
-		ns = 1
-	}
-	return ns
-}
-
 // measureStepFrame runs one long replay of the workload and measures the
 // steady-state cost of Runner.StepFrame: the trace is stretched to twice
 // the configured frame count, the first two thirds warm the frame pools
 // and writeback free lists, and the remaining third is timed under
 // runtime.MemStats deltas. Mallocs is monotonic, so the delta counts every
-// heap allocation in the window regardless of GC activity.
+// heap allocation in the window, including the Go runtime's own: the
+// window therefore runs with the collector off, because a collection's
+// background workers allocate (sudogs, timers, new Ms) and would charge
+// StepFrame for allocations it never made.
 func measureStepFrame(key string, opts Options) (Record, error) {
 	sc := opts.Stream
 	sc.NumFrames *= 2
@@ -233,9 +178,7 @@ func measureStepFrame(key string, opts Options) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	cfg := opts.Platform
-	cfg.Parallel = 0
-	r, err := core.NewRunner(tr, opts.Scheme, cfg)
+	r, err := core.NewRunner(tr, opts.Scheme, opts.Platform)
 	if err != nil {
 		return Record{}, err
 	}
@@ -245,7 +188,7 @@ func measureStepFrame(key string, opts Options) (Record, error) {
 	}
 	measured := int64(0)
 	var before, after runtime.MemStats
-	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for !r.Done() {
@@ -279,11 +222,4 @@ func rate(mabs, ns int64) float64 {
 		return 0
 	}
 	return float64(mabs) / (float64(ns) / 1e9)
-}
-
-func ratio(num, den int64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }

@@ -137,19 +137,6 @@ func TestResumeBitIdenticalDelivery(t *testing.T) {
 	}
 }
 
-// TestResumeBitIdenticalParallel proves a run checkpointed under the
-// deterministic parallel engine resumes bit-identically.
-func TestResumeBitIdenticalParallel(t *testing.T) {
-	cfg := testConfig()
-	cfg.Parallel = 3
-	tr := testTrace(t, "V2", goldenFrames)
-	want := canonicalJSON(t, mustRun(t, tr, GAB(DefaultBatch), cfg))
-	got := canonicalJSON(t, runResumed(t, tr, GAB(DefaultBatch), cfg, 6))
-	if !bytes.Equal(got, want) {
-		t.Error("parallel resumed run differs from uninterrupted run")
-	}
-}
-
 // TestSnapshotDeterministic requires identical snapshot bytes from
 // identical states — including a snapshot→restore→snapshot round trip, so
 // no state is lost or reordered by serialization itself.
@@ -235,6 +222,23 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 	other := testTrace(t, "V2", goldenFrames)
 	if _, err := LoadCheckpoint(path, other, GAB(DefaultBatch), cfg); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("cross-trace resume: want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestFingerprintStable pins the run fingerprint of one fixed run. Every
+// checkpoint and fleet shard manifest carries this hash of the JSON form of
+// Scheme, Config and the trace, so a change here (a renamed, added or
+// deleted Config field included) strands every file written before it. A
+// deliberate change needs a migration for those files, then a new value.
+func TestFingerprintStable(t *testing.T) {
+	tr := testTrace(t, "V5", goldenFrames)
+	r, err := NewRunner(tr, GAB(DefaultBatch), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "e76d3005b40639f89c148dabaafd6605"
+	if got := r.Fingerprint().String(); got != want {
+		t.Fatalf("fingerprint %s, want %s: existing checkpoints and fleet manifests would no longer resume", got, want)
 	}
 }
 

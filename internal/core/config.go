@@ -58,13 +58,10 @@ type Config struct {
 	// for CDF plots; disable for large sweeps to save memory.
 	CollectFrameSamples bool
 
-	// Parallel is the worker count of the deterministic parallel engine:
-	// values above 1 shard the pure per-mab prehash work (block copy, gab
-	// transform, digest hashing) across that many workers; 0 and 1 both
-	// select the fully sequential path. The knob trades wall clock only —
-	// results are bit-identical for every value (the order-preserving
-	// reduction documented in DESIGN.md, enforced by
-	// TestParallelMatchesSequential), so it is safe to flip on any run.
+	// Parallel is kept only for compatibility and must be 0: each run is
+	// sequential, and Runner.Fingerprint hashes the JSON form of Config,
+	// so deleting the field would invalidate every existing checkpoint
+	// and fleet manifest.
 	Parallel int
 }
 
@@ -120,8 +117,8 @@ func (c Config) Validate() error {
 	if err := c.ABR.Normalize().Validate(); err != nil {
 		return err
 	}
-	if c.Parallel < 0 || c.Parallel > 256 {
-		return fmt.Errorf("core: parallel workers %d outside [0,256]", c.Parallel)
+	if c.Parallel != 0 {
+		return fmt.Errorf("core: Parallel %d: the per-run parallel engine was removed; the field must be 0", c.Parallel)
 	}
 	return nil
 }

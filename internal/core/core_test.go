@@ -97,6 +97,22 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestParallelConfigValidation pins Config.Parallel to its one legal
+// value: the field survives only so fingerprints stay stable.
+func TestParallelConfigValidation(t *testing.T) {
+	cfg := testConfig()
+	cfg.Parallel = 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Parallel=0 rejected: %v", err)
+	}
+	for _, n := range []int{-1, 1, 4} {
+		cfg.Parallel = n
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Parallel=%d validated", n)
+		}
+	}
+}
+
 func TestRunBaselineSanity(t *testing.T) {
 	tr := testTrace(t, "V1", 24)
 	res := mustRun(t, tr, Baseline(), testConfig())

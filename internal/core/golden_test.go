@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -83,4 +84,24 @@ func TestGoldenCorpusComplete(t *testing.T) {
 	for name := range want {
 		t.Errorf("workload %s missing from the golden corpus", name)
 	}
+}
+
+// firstDiffLine renders the first differing line of two texts, with a line
+// number, for readable failure output.
+func firstDiffLine(a, b []byte) string {
+	al := bytes.Split(a, []byte("\n"))
+	bl := bytes.Split(b, []byte("\n"))
+	n := len(al)
+	if len(bl) < n {
+		n = len(bl)
+	}
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(al[i], bl[i]) {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, al[i], bl[i])
+		}
+	}
+	if len(al) != len(bl) {
+		return fmt.Sprintf("line counts differ: %d vs %d", len(al), len(bl))
+	}
+	return "no line-level difference (byte-level only)"
 }

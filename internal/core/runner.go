@@ -13,7 +13,6 @@ import (
 	"mach/internal/energy"
 	"mach/internal/framebuf"
 	"mach/internal/mach"
-	"mach/internal/par"
 	"mach/internal/power"
 	"mach/internal/sim"
 	"mach/internal/soc"
@@ -160,12 +159,6 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Parallel > 1 {
-		// The pool shards only the pure per-mab prehash; classification
-		// and DRAM op generation stay serial in mab order, so the run is
-		// bit-identical to the sequential path (see DESIGN.md).
-		wb.SetPool(par.New(cfg.Parallel))
-	}
 	r.wb = wb
 
 	dcfg := cfg.Display
@@ -299,9 +292,9 @@ func NewRunner(tr *trace.Trace, s Scheme, cfg Config) (*Runner, error) {
 // frames decoded so far).
 func (r *Runner) Frame() int { return r.frame }
 
-// PrehashWall exposes the writeback engine's prehash host-time accumulator,
-// the Amdahl share the benchmark harness uses to bound the parallel
-// engine's speedup on machines without idle cores.
+// PrehashWall exposes the writeback engine's prehash phase timer: the host
+// wall time spent hashing mabs, as opposed to classifying them against the
+// MACH.
 func (r *Runner) PrehashWall() time.Duration { return r.wb.PrehashWall() }
 
 // Done reports whether every frame has been decoded.

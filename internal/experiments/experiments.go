@@ -33,8 +33,7 @@ type Config struct {
 	// Workers bounds the sweep fan-out: multi-cell experiments run their
 	// independent simulations over a shared pool of this width, with
 	// results placed in index order so tables stay deterministic. 0
-	// selects GOMAXPROCS. This is sweep-level parallelism; the per-run
-	// engine width is Platform.Parallel.
+	// selects GOMAXPROCS. Each simulation itself runs sequentially.
 	Workers int
 }
 

@@ -5,17 +5,14 @@ import (
 )
 
 // TestSweepParallelDeterministic locks in the fan-out contract: a sweep run
-// over a wide pool renders the exact same table as the 1-worker sweep, and
-// as the same sweep with the parallel engine enabled inside each run. This
-// is the experiments-layer face of the bit-identity guarantee.
+// over a wide pool renders the exact same tables as the 1-worker sweep.
 func TestSweepParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-video pipeline sweeps")
 	}
-	render := func(workers, engine int) (string, string) {
+	render := func(workers int) (string, string) {
 		cfg := tinyConfig()
 		cfg.Workers = workers
-		cfg.Platform.Parallel = engine
 		r := NewRunner(cfg)
 		fig11, err := r.Fig11()
 		if err != nil {
@@ -27,14 +24,14 @@ func TestSweepParallelDeterministic(t *testing.T) {
 		}
 		return fig11.String(), fig2.String()
 	}
-	ref11, ref2 := render(1, 0)
-	for _, c := range []struct{ workers, engine int }{{4, 0}, {1, 4}, {3, 2}} {
-		got11, got2 := render(c.workers, c.engine)
+	ref11, ref2 := render(1)
+	for _, workers := range []int{3, 4} {
+		got11, got2 := render(workers)
 		if got11 != ref11 {
-			t.Errorf("workers=%d engine=%d: Fig11 table diverged\n--- want\n%s\n--- got\n%s", c.workers, c.engine, ref11, got11)
+			t.Errorf("workers=%d: Fig11 table diverged\n--- want\n%s\n--- got\n%s", workers, ref11, got11)
 		}
 		if got2 != ref2 {
-			t.Errorf("workers=%d engine=%d: Fig2 table diverged\n--- want\n%s\n--- got\n%s", c.workers, c.engine, ref2, got2)
+			t.Errorf("workers=%d: Fig2 table diverged\n--- want\n%s\n--- got\n%s", workers, ref2, got2)
 		}
 	}
 }

@@ -84,13 +84,11 @@ func (inj Injector) Hooks() Hooks {
 
 // sessionConfig derives one session's platform config from the fleet
 // template: per-session delivery seed and bandwidth scale, the cell's shared
-// bottleneck when churn windows overlap, and the per-session knobs a fleet
-// run forces (no frame samples — the aggregate keeps summaries, not 10k
-// sample vectors — and no nested parallelism under the session fan-out).
+// bottleneck when churn windows overlap, and no frame samples (the
+// aggregate keeps summaries, not 10k sample vectors).
 func (c Config) sessionConfig(p Plan) core.Config {
 	cfg := c.Platform
 	cfg.CollectFrameSamples = false
-	cfg.Parallel = 0
 	if cfg.Delivery.Enabled {
 		cfg.Delivery.Seed = p.Seed
 		cfg.Delivery.BandwidthBps *= p.BandwidthScale

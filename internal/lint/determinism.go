@@ -19,10 +19,10 @@ import (
 //     built inside such a loop differs between runs;
 //   - a `go func(){...}` literal that writes a captured variable — a data
 //     race, and even when "benign" the interleaving makes results depend
-//     on goroutine scheduling. The parallel engine's ownership idioms
-//     pass: writes to goroutine-local variables, channel sends, writes
-//     into a slice slot selected by a goroutine-local index (each worker
-//     owns its slots), and bodies that take a sync lock.
+//     on goroutine scheduling. The worker-pool ownership idioms pass:
+//     writes to goroutine-local variables, channel sends, writes into a
+//     slice slot selected by a goroutine-local index (each worker owns its
+//     slots), and bodies that take a sync lock.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock time, the global math/rand source, order-dependent " +
@@ -179,8 +179,8 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 // `go func(){...}` literal. Only syntactic goroutine launches of function
 // literals are analyzed (a named function receiving shared state through
 // its parameters is the caller's contract to get right), which keeps the
-// check free of false positives on the worker-pool callbacks the parallel
-// engine runs through par.Pool.ForShards.
+// check free of false positives on the worker-pool callbacks the sweep and
+// fleet fan-outs run through par.Pool.
 func checkGoroutineCaptures(pass *Pass, g *ast.GoStmt) {
 	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 	if !ok {

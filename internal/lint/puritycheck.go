@@ -6,10 +6,9 @@ import (
 )
 
 // PurityCheck statically guards the parallel-equals-sequential guarantee
-// that PR 3's golden tests only probe dynamically: the deterministic
-// parallel engine (internal/par) promises that a run sharded over N workers
-// is bit-identical to the sequential run, which holds only if every worker
-// body is pure — no writes to state shared between workers, no map
+// that the sweep and fleet determinism tests only probe dynamically:
+// internal/par promises that work sharded over N workers is bit-identical
+// to the sequential run, which holds only if every worker body is pure — no writes to state shared between workers, no map
 // iteration over shared maps (order feeds the scheduler), no wall clock or
 // process-global randomness. The determinism analyzer checks goroutine
 // literals syntactically; this analyzer checks the functions that actually

@@ -8,7 +8,6 @@ import (
 	"mach/internal/codec"
 	"mach/internal/framebuf"
 	"mach/internal/hashes"
-	"mach/internal/par"
 )
 
 // Config describes one MACH deployment at the video decoder.
@@ -199,13 +198,8 @@ type Writeback struct {
 	// by the pipeline; persists across frames and is part of State.
 	quantShift int
 
-	// Parallel prehash state: pool shards the pure per-mab digest work,
-	// scratch gives each worker its own block buffers, and pre collects
-	// the per-mab results the serial classification phase consumes.
-	//lint:derived execution configuration installed by SetPool, not simulation state; a restored engine runs sequentially until SetPool is called again
-	pool *par.Pool
-	//lint:derived worker scratch buffers sized by SetPool; contents are per-frame transients
-	scratch []mabScratch
+	// pre collects the per-mab prehash results the serial classification
+	// phase consumes.
 	//lint:derived per-frame prehash results, fully rewritten by the prehash phase before the classification phase reads them
 	pre prehash
 
@@ -220,20 +214,19 @@ type Writeback struct {
 	//lint:derived digest caches aged out of the frozen history; reset and reused as the next current MACH
 	freeCaches []*digestCache
 
-	// prehashWall accumulates host wall time spent in the prehash phase.
-	// It is measurement plumbing for the benchmark harness (the Amdahl
-	// share that bounds the parallel engine's speedup) — never simulation
-	// state: it does not feed any simulated quantity, is excluded from
-	// Stats and State, and merely reading the host clock cannot perturb the
-	// virtual timeline.
+	// prehashWall accumulates host wall time spent in the prehash phase,
+	// a phase timer for benchmarks that split the writeback's host time
+	// into prehash and classification. It is never simulation state: it
+	// does not feed any simulated quantity, is excluded from Stats and
+	// State, and merely reading the host clock cannot perturb the virtual
+	// timeline.
 	//lint:derived host-clock benchmark instrumentation, not simulation state; a restored engine restarts the accumulator at zero
 	prehashWall time.Duration
 }
 
-// PrehashWall returns the accumulated host wall time of the prehash phase,
-// the portion of the engine's work the pool shards. The benchmark harness
-// divides it by the engine width to report the work-conserving parallel
-// bound on machines without idle cores (see EXPERIMENTS.md).
+// PrehashWall returns the accumulated host wall time of the prehash phase
+// (block copy, gab transform, digest and fingerprint hashing), the phase
+// timer that separates hashing from classification in host profiles.
 func (w *Writeback) PrehashWall() time.Duration { return w.prehashWall }
 
 // Recycle hands a retired frame layout back to the engine for reuse. The
@@ -247,16 +240,9 @@ func (w *Writeback) Recycle(l *framebuf.FrameLayout) {
 	w.freeLayouts = append(w.freeLayouts, l)
 }
 
-// mabScratch is one worker's private block buffers.
-type mabScratch struct {
-	mab, gab []byte
-}
-
 // prehash holds the per-mab values that are pure functions of the decoded
 // frame: the 32-bit digest, the CO-MACH aux hash, the gab base, and (with
-// TrackCollisions) the md5 content fingerprint. Purity is what makes this
-// phase safe to shard across workers: every slot is written exactly once,
-// by the shard that owns its index, from frame content nobody mutates.
+// TrackCollisions) the md5 content fingerprint.
 type prehash struct {
 	digest []uint32
 	aux    []uint16
@@ -317,62 +303,23 @@ func NewWriteback(cfg Config) (*Writeback, error) {
 // Config returns the engine configuration.
 func (w *Writeback) Config() Config { return w.cfg }
 
-// SetPool shards the pure per-mab prehash phase (block copy, gab transform,
-// digest and aux hashing, shadow fingerprints) across the pool's workers.
-// Classification, MACH state updates and write accounting stay serial and
-// in mab order — an order-preserving reduction — so the engine's output is
-// bit-identical to the sequential path; only wall clock changes. A nil pool
-// (the default) keeps everything inline on the caller.
-func (w *Writeback) SetPool(p *par.Pool) {
-	w.pool = p
-	w.scratch = nil
-	if p.Workers() > 1 {
-		w.scratch = make([]mabScratch, p.Workers())
-		for i := range w.scratch {
-			w.scratch[i] = mabScratch{
-				mab: make([]byte, w.cfg.MabBytes()),
-				gab: make([]byte, w.cfg.MabBytes()),
-			}
-		}
-	}
-}
-
-// prehashGrain is the number of mabs per shard of the parallel prehash.
-// Shard boundaries are a function of this constant and the frame geometry
-// alone — never of the worker count — so every pool width computes the
-// same values into the same slots (par.Shards documents the invariant).
-const prehashGrain = 512
-
-// prehashFrame computes the per-mab digest values for one frame. Each slot
-// of w.pre is a pure function of the frame content, so the work shards
-// freely; the caller consumes the slots strictly in mab order.
+// prehashFrame computes the per-mab digest values for one frame into w.pre,
+// which the classification phase then consumes strictly in mab order.
 func (w *Writeback) prehashFrame(fr *codec.Frame, numMabs int) {
 	cfg := w.cfg
 	mabsPerRow := fr.MabsPerRow(cfg.MabSize)
 	w.pre.resize(numMabs, cfg.CoMach, cfg.Gradient, w.shadow != nil)
-
-	if w.pool.Workers() <= 1 {
-		for ord := 0; ord < numMabs; ord++ {
-			w.hashOne(fr, mabsPerRow, ord, w.mabBuf, w.gabBuf)
-		}
-		return
+	for ord := 0; ord < numMabs; ord++ {
+		w.hashOne(fr, mabsPerRow, ord)
 	}
-	//lint:ignore allocheck the sharded path pays one closure plus the pool's goroutines per frame; the sequential engine, which the 0-allocs/op gate measures, takes the inline loop above
-	w.pool.ForShards(numMabs, prehashGrain, func(lo, hi, worker int) {
-		s := &w.scratch[worker]
-		for ord := lo; ord < hi; ord++ {
-			w.hashOne(fr, mabsPerRow, ord, s.mab, s.gab)
-		}
-	})
 }
 
 // hashOne fills mab ord's prehash slots: the digest, the CO-MACH aux hash,
-// the gab base, and the optional content fingerprint. It is a pure function
-// of the frame content writing only the ord-owned w.pre slots (plus the
-// caller-owned block buffers), which is what lets prehashFrame shard it.
-func (w *Writeback) hashOne(fr *codec.Frame, mabsPerRow, ord int, mab, gab []byte) {
+// the gab base, and the optional content fingerprint.
+func (w *Writeback) hashOne(fr *codec.Frame, mabsPerRow, ord int) {
 	cfg := w.cfg
 	n := cfg.MabSize
+	mab, gab := w.mabBuf, w.gabBuf
 	x0 := (ord % mabsPerRow) * n
 	y0 := (ord / mabsPerRow) * n
 	fr.CopyBlock(x0, y0, n, mab)
@@ -521,18 +468,16 @@ func (w *Writeback) ProcessFrame(fr *codec.Frame, displayIndex int, bufferBase, 
 	var contentOff uint64
 
 	// Phase 1 — prehash: every per-mab value that is a pure function of the
-	// frame content (digest, aux, gab base, shadow fingerprint). This is
-	// the only phase a pool shards; with no pool it runs inline, through
-	// the same code, so the two engines cannot diverge.
-	//lint:ignore determinism host-clock benchmark instrumentation: the measured duration feeds only the harness-facing PrehashWall accumulator, never any simulated quantity
+	// frame content (digest, aux, gab base, shadow fingerprint).
+	//lint:ignore determinism host-clock phase timer: the measured duration feeds only the PrehashWall accumulator, never any simulated quantity
 	prehashStart := time.Now()
 	w.prehashFrame(fr, numMabs)
 	w.prehashWall += time.Since(prehashStart)
 
-	// Phase 2 — classification: an order-preserving serial reduction. MACH
-	// lookups mutate LRU state, the coalescing buffers carry fill across
-	// mabs, and the sink paces DRAM writes — all order-dependent, so this
-	// loop consumes the prehashed slots strictly in mab order.
+	// Phase 2 — classification: MACH lookups mutate LRU state, the
+	// coalescing buffers carry fill across mabs, and the sink paces DRAM
+	// writes — all order-dependent, so this loop consumes the prehashed
+	// slots strictly in mab order.
 	w.curMab = 0
 	for ord := 0; ord < numMabs; ord++ {
 		w.stats.Mabs++
