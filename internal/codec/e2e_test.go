@@ -2,6 +2,8 @@ package codec
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -180,6 +182,72 @@ func TestDecoderWorkCountsConsistent(t *testing.T) {
 			}
 			if bits > work.TotalBits {
 				t.Fatalf("mab bits %d exceed frame total %d", bits, work.TotalBits)
+			}
+		}
+	}
+}
+
+// TestPushOutputsMatchDecoder holds the encoder's closed loop to the
+// decoder: for every frame emitted by PushOutputs and FlushOutputs, the
+// reconstruction and work must equal what Decoder.Decode returns for the
+// bitstream, across mab sizes and B-frame depths, with the stream ending
+// in flushed B candidates. Each frame is a moving gradient with a noise
+// patch, so I, P and B mabs all occur.
+func TestPushOutputsMatchDecoder(t *testing.T) {
+	for _, n := range []int{2, 4, 8, 16} {
+		for bf := 0; bf <= 3; bf++ {
+			p := DefaultParams(32, 32)
+			p.MabSize, p.BFrames, p.GOPLength = n, bf, 6
+			enc, err := NewEncoder(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, _ := NewDecoder(p)
+			rng := rand.New(rand.NewSource(int64(10*n + bf)))
+			var counts [3]int
+			check := func(outs []Output) {
+				for _, o := range outs {
+					img, work, err := dec.Decode(o.Encoded)
+					if err != nil {
+						t.Fatalf("mab %d B %d: %v", n, bf, err)
+					}
+					if !reflect.DeepEqual(o.Recon, img) {
+						t.Errorf("mab %d B %d frame %d: reconstruction differs from the decoder's", n, bf, o.Encoded.DisplayIndex)
+					}
+					if !reflect.DeepEqual(o.Work, work) {
+						t.Errorf("mab %d B %d frame %d: work differs from the decoder's", n, bf, o.Encoded.DisplayIndex)
+					}
+					counts[0] += work.CountI
+					counts[1] += work.CountP
+					counts[2] += work.CountB
+				}
+			}
+			// The last display index, 11, is a B position for every
+			// depth, so each B-frame stream ends with a flush.
+			for i := 0; i < 12; i++ {
+				src := gradientFrame(32, 32, 2*i)
+				x0, y0 := rng.Intn(24), rng.Intn(24)
+				for y := y0; y < y0+8; y++ {
+					for x := x0; x < x0+8; x++ {
+						src.Set(x, y, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+					}
+				}
+				outs, err := enc.PushOutputs(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(outs)
+			}
+			outs, err := enc.FlushOutputs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bf > 0 && len(outs) == 0 {
+				t.Errorf("mab %d B %d: nothing left to flush", n, bf)
+			}
+			check(outs)
+			if counts[0] == 0 || counts[1] == 0 || (bf > 0 && counts[2] == 0) {
+				t.Errorf("mab %d B %d: mab types I/P/B = %v, want each exercised", n, bf, counts)
 			}
 		}
 	}

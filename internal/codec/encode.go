@@ -11,9 +11,8 @@ type Encoder struct {
 
 	display int // next display index to be pushed
 
-	prevAnchor   *Frame // reconstruction of the last emitted anchor
-	prevAnchorIx int
-	pendingB     []*pendingFrame // display-order B candidates awaiting next anchor
+	prevAnchor *Frame          // reconstruction of the last emitted anchor
+	pendingB   []*pendingFrame // display-order B candidates awaiting next anchor
 
 	scratch encScratch
 }
@@ -37,7 +36,7 @@ func NewEncoder(p Params) (*Encoder, error) {
 	}
 	mb := p.MabBytes()
 	n := p.MabSize * p.MabSize
-	e := &Encoder{p: p, prevAnchorIx: -1}
+	e := &Encoder{p: p}
 	e.scratch = encScratch{
 		src:  make([]byte, mb),
 		pred: make([]byte, mb),
@@ -52,10 +51,26 @@ func NewEncoder(p Params) (*Encoder, error) {
 // Params returns the encoder configuration.
 func (e *Encoder) Params() Params { return e.p }
 
+// Output is one frame as the encoder emits it: the bitstream, the
+// reconstruction a Decoder produces from that bitstream, and the decode
+// work it takes. The loop is closed, so Recon and Work equal what
+// Decoder.Decode returns for Encoded, bit for bit.
+type Output struct {
+	Encoded *EncodedFrame
+	Recon   *Frame
+	Work    *FrameWork
+}
+
 // Push encodes one display-order frame and returns zero or more encoded
 // frames in decode order. With BFrames=0 every push returns exactly one
 // frame; otherwise B frames are buffered until their forward anchor arrives.
 func (e *Encoder) Push(f *Frame) ([]*EncodedFrame, error) {
+	return encodedOnly(e.PushOutputs(f))
+}
+
+// PushOutputs is Push returning each emitted frame's reconstruction and
+// decode work beside its bitstream.
+func (e *Encoder) PushOutputs(f *Frame) ([]Output, error) {
 	if f.W != e.p.Width || f.H != e.p.Height {
 		return nil, fmt.Errorf("codec: frame %dx%d does not match params %dx%d", f.W, f.H, e.p.Width, e.p.Height)
 	}
@@ -73,78 +88,85 @@ func (e *Encoder) Push(f *Frame) ([]*EncodedFrame, error) {
 		ft = FrameI
 	}
 	backRef := e.prevAnchor
-	anchor, recon, err := e.encodeFrame(f, idx, ft, backRef, nil)
+	anchor, err := e.encodeFrame(f, idx, ft, backRef, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := []*EncodedFrame{anchor}
+	out := []Output{anchor}
 
 	// Now the buffered B frames have both their references reconstructed.
 	for _, pb := range e.pendingB {
-		bf, _, err := e.encodeFrame(pb.frame, pb.index, FrameB, backRef, recon)
+		bf, err := e.encodeFrame(pb.frame, pb.index, FrameB, backRef, anchor.Recon)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, bf)
 	}
 	e.pendingB = e.pendingB[:0]
-	e.prevAnchor = recon
-	e.prevAnchorIx = idx
+	e.prevAnchor = anchor.Recon
 	return out, nil
 }
 
-// Flush encodes any buffered B frames against the last anchor only (they
-// degrade to single-reference prediction) and resets the pending queue.
+// Flush encodes any buffered B frames as P frames (they degrade to
+// single-reference prediction) and resets the pending queue. Each one
+// predicts from the frame emitted before it, the reference the decoder
+// holds once it has decoded that P frame.
 func (e *Encoder) Flush() ([]*EncodedFrame, error) {
-	var out []*EncodedFrame
+	return encodedOnly(e.FlushOutputs())
+}
+
+// FlushOutputs is Flush returning each emitted frame's reconstruction and
+// decode work beside its bitstream.
+func (e *Encoder) FlushOutputs() ([]Output, error) {
+	var out []Output
 	for _, pb := range e.pendingB {
-		ef, _, err := e.encodeFrame(pb.frame, pb.index, FrameP, e.prevAnchor, nil)
+		o, err := e.encodeFrame(pb.frame, pb.index, FrameP, e.prevAnchor, nil)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ef)
+		out = append(out, o)
+		e.prevAnchor = o.Recon
 	}
 	e.pendingB = e.pendingB[:0]
 	return out, nil
 }
 
-// EncodeSequence is a convenience wrapper that pushes every frame and
-// flushes, returning the full decode-order stream.
-func (e *Encoder) EncodeSequence(frames []*Frame) ([]*EncodedFrame, error) {
-	var out []*EncodedFrame
-	for _, f := range frames {
-		efs, err := e.Push(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, efs...)
-	}
-	efs, err := e.Flush()
-	if err != nil {
+// encodedOnly keeps the bitstreams of outs.
+func encodedOnly(outs []Output, err error) ([]*EncodedFrame, error) {
+	if err != nil || len(outs) == 0 {
 		return nil, err
 	}
-	return append(out, efs...), nil
+	efs := make([]*EncodedFrame, len(outs))
+	for i, o := range outs {
+		efs[i] = o.Encoded
+	}
+	return efs, nil
 }
 
 // encodeFrame compresses one frame of the given type. back is the backward
 // reference (nil only for I frames at stream start); fwd is the forward
-// reference for B frames.
-func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Frame) (*EncodedFrame, *Frame, error) {
+// reference for B frames. The work it records per mab is what the decoder
+// will parse: the bits from the mab type through the last coefficient, and
+// the nonzero coefficients EncodeCoeffs wrote.
+func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Frame) (Output, error) {
 	p := e.p
 	n := p.MabSize
 	recon := NewFrame(p.Width, p.Height)
 	w := NewBitWriter()
+	work := &FrameWork{
+		Type:         ft,
+		DisplayIndex: idx,
+		Mabs:         make([]MabWork, 0, p.MabsPerFrame()),
+	}
 
 	w.WriteUE(uint32(ft))
 	w.WriteUE(uint32(idx))
 	w.WriteUE(uint32(p.Quant))
 
 	threshold := int(e.p.InterThresholdPerPixel * float64(p.MabBytes()))
-	numMabs := 0
 
 	for y0 := 0; y0 < p.Height; y0 += n {
 		for x0 := 0; x0 < p.Width; x0 += n {
-			numMabs++
 			src.CopyBlock(x0, y0, n, e.scratch.src)
 
 			mt := MabI
@@ -190,18 +212,26 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 			_ = interSAD
 
 			// Syntax: mab type, then prediction parameters.
+			bitsBefore := w.Bits()
+			mw := MabWork{Type: mt}
 			w.WriteUE(uint32(mt))
 			switch mt {
 			case MabI:
 				w.WriteUE(uint32(mode))
+				mw.Mode = mode
+				work.CountI++
 			case MabP:
 				w.WriteSE(int32(mv.DX))
 				w.WriteSE(int32(mv.DY))
+				mw.MV, mw.RefReads = mv, 1
+				work.CountP++
 			case MabB:
 				w.WriteSE(int32(mvb.DX))
 				w.WriteSE(int32(mvb.DY))
 				w.WriteSE(int32(mvf.DX))
 				w.WriteSE(int32(mvf.DY))
+				mw.MVB, mw.MVF, mw.RefReads = mvb, mvf, 2
+				work.CountB++
 			}
 
 			// Residual per channel: transform, quantize, entropy-code, and
@@ -213,7 +243,7 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 				}
 				ForwardTransform(res, n)
 				Quantize(res, p.Quant)
-				EncodeCoeffs(w, res, n)
+				mw.Nonzero += int16(EncodeCoeffs(w, res, n))
 				Dequantize(res, p.Quant)
 				InverseTransform(res, n)
 				for i := 0; i < n*n; i++ {
@@ -221,14 +251,17 @@ func (e *Encoder) encodeFrame(src *Frame, idx int, ft FrameType, back, fwd *Fram
 				}
 			}
 			recon.SetBlock(x0, y0, n, e.scratch.pred)
+			mw.Bits = int32(w.Bits() - bitsBefore)
+			work.Mabs = append(work.Mabs, mw)
 		}
 	}
+	work.TotalBits = w.Bits()
 
 	ef := &EncodedFrame{
 		Type:         ft,
 		DisplayIndex: idx,
 		Data:         w.Bytes(),
-		NumMabs:      numMabs,
+		NumMabs:      len(work.Mabs),
 	}
-	return ef, recon, nil
+	return Output{Encoded: ef, Recon: recon, Work: work}, nil
 }

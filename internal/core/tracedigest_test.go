@@ -30,10 +30,11 @@ const traceDigestFile = "trace_digests.json"
 // the unrolled transform, 8 takes the generic butterfly.
 var traceDigestMabSizes = []int{4, 8}
 
-// TestGoldenTraceDigests rebuilds every profile at the testTrace scale and
-// compares an md5 of the full build output — each frame's bitstream, type,
-// display index, decoded pixels and decode work — against the committed
-// digests. A codec speed change must leave every one of them unchanged.
+// TestGoldenTraceDigests rebuilds every profile at the testTrace scale
+// with BuildTrace and compares an md5 of the full build output — each
+// frame's bitstream, type, display index, reconstructed pixels and decode
+// work — against the committed digests. A codec speed change must leave
+// every one of them unchanged.
 func TestGoldenTraceDigests(t *testing.T) {
 	got := make(map[string]map[string]string)
 	for _, mab := range traceDigestMabSizes {
@@ -90,19 +91,34 @@ func TestGoldenTraceDigests(t *testing.T) {
 	}
 }
 
-// traceDigest builds one profile the way BuildTrace does, keeping the
-// encoded stream so its bytes are hashed too.
-func traceDigest(key string, mabSize int) (string, error) {
+// traceDigestConfig is the stream scale the digests pin: the testTrace
+// scale at one mab size. Its last display index, goldenFrames-1 = 15, is a
+// B position for the B-frame profiles (V5-V8), so each of their streams
+// ends in a B frame flushed as P.
+func traceDigestConfig(mabSize int) video.StreamConfig {
+	return video.StreamConfig{Width: 160, Height: 96, NumFrames: goldenFrames, Seed: 5, MabSize: mabSize, Quant: 8}
+}
+
+// encodedStream returns the bitstream BuildTrace's encoder emits for key:
+// BuildTrace keeps only its sizes, so the digest and the decoder oracle
+// take it from video.Synthesize, which runs the same generator and encoder.
+func encodedStream(key string, sc video.StreamConfig) (*video.Stream, error) {
 	prof, err := video.ProfileByKey(key)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	sc := video.StreamConfig{Width: 160, Height: 96, NumFrames: goldenFrames, Seed: 5, MabSize: mabSize, Quant: 8}
-	st, err := video.Synthesize(prof, sc)
+	return video.Synthesize(prof, sc)
+}
+
+// traceDigest hashes what BuildTrace returns for one profile together with
+// the encoder's bitstream.
+func traceDigest(key string, mabSize int) (string, error) {
+	sc := traceDigestConfig(mabSize)
+	st, err := encodedStream(key, sc)
 	if err != nil {
 		return "", err
 	}
-	tr, err := trace.Build(prof.Key, prof.FPS, st.Params, st.Encoded)
+	tr, err := BuildTrace(key, sc)
 	if err != nil {
 		return "", err
 	}
@@ -114,6 +130,57 @@ func traceDigest(key string, mabSize int) (string, error) {
 		hashFrame(h, st.Encoded[i], &fr)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// TestBuildTraceMatchesDecoder holds BuildTrace, which takes each frame
+// from the encoder's reconstruction, to the decoder: decoding the encoder's
+// bitstream with codec.Decoder (trace.Build) must give the same trace frame
+// by frame, for every profile at both pinned mab sizes. The B-frame
+// profiles must include a trailing B frame flushed as P.
+func TestBuildTraceMatchesDecoder(t *testing.T) {
+	for _, mab := range traceDigestMabSizes {
+		sc := traceDigestConfig(mab)
+		for _, key := range WorkloadKeys() {
+			st, err := encodedStream(key, sc)
+			if err != nil {
+				t.Fatalf("%s mab %d: %v", key, mab, err)
+			}
+			want, err := trace.Build(st.Profile.Key, st.Profile.FPS, st.Params, st.Encoded)
+			if err != nil {
+				t.Fatalf("%s mab %d: decoding: %v", key, mab, err)
+			}
+			got, err := BuildTrace(key, sc)
+			if err != nil {
+				t.Fatalf("%s mab %d: %v", key, mab, err)
+			}
+			if got.Profile != want.Profile || got.FPS != want.FPS || got.Params != want.Params {
+				t.Errorf("%s mab %d: header %s/%d/%+v, decoder %s/%d/%+v", key, mab,
+					got.Profile, got.FPS, got.Params, want.Profile, want.FPS, want.Params)
+			}
+			if len(got.Frames) != len(want.Frames) {
+				t.Fatalf("%s mab %d: %d frames, decoder %d", key, mab, len(got.Frames), len(want.Frames))
+			}
+			flushedB := false
+			for i := range got.Frames {
+				g, w := &got.Frames[i], &want.Frames[i]
+				switch {
+				case g.Type != w.Type || g.DisplayIndex != w.DisplayIndex || g.EncodedBytes != w.EncodedBytes:
+					t.Errorf("%s mab %d frame %d: %v/%d/%dB, decoder %v/%d/%dB", key, mab, i,
+						g.Type, g.DisplayIndex, g.EncodedBytes, w.Type, w.DisplayIndex, w.EncodedBytes)
+				case !reflect.DeepEqual(g.Decoded, w.Decoded):
+					t.Errorf("%s mab %d frame %d: reconstruction differs from the decoded image", key, mab, i)
+				case !reflect.DeepEqual(g.Work, w.Work):
+					t.Errorf("%s mab %d frame %d: work differs from the decoder's", key, mab, i)
+				}
+				if b := st.Params.BFrames; b > 0 && g.Type == codec.FrameP && g.DisplayIndex%(b+1) != 0 {
+					flushedB = true
+				}
+			}
+			if st.Params.BFrames > 0 && !flushedB {
+				t.Errorf("%s mab %d: no trailing B frame flushed as P; pick a length that leaves one", key, mab)
+			}
+		}
+	}
 }
 
 func hashFrame(h hash.Hash, ef *codec.EncodedFrame, fr *trace.Frame) {

@@ -58,16 +58,24 @@ func Quick() Config {
 	return c
 }
 
-// TraceCache memoizes decoded workload traces so the many experiments that
-// share a workload synthesize and decode it once. Safe for concurrent use.
+// TraceCache memoizes workload traces so the many experiments that share a
+// workload build it once. Safe for concurrent use: concurrent callers for
+// one key wait for a single build.
 type TraceCache struct {
 	mu     sync.Mutex
-	traces map[string]*trace.Trace
+	traces map[string]*cacheEntry
+}
+
+// cacheEntry is one key's build; done closes when tr and err are final.
+type cacheEntry struct {
+	done chan struct{}
+	tr   *trace.Trace
+	err  error
 }
 
 // NewTraceCache returns an empty cache.
 func NewTraceCache() *TraceCache {
-	return &TraceCache{traces: make(map[string]*trace.Trace)}
+	return &TraceCache{traces: make(map[string]*cacheEntry)}
 }
 
 func streamKey(profileKey string, sc video.StreamConfig) string {
@@ -75,23 +83,42 @@ func streamKey(profileKey string, sc video.StreamConfig) string {
 }
 
 // Get returns the trace for a workload at the given stream scale, building
-// it on first use.
+// it on first use. Callers that arrive while the key is building wait for
+// that build and share its result. A failed build is returned to everyone
+// waiting on it but not kept, so a later Get tries again.
 func (tc *TraceCache) Get(profileKey string, sc video.StreamConfig) (*trace.Trace, error) {
 	key := streamKey(profileKey, sc)
 	tc.mu.Lock()
-	tr, ok := tc.traces[key]
-	tc.mu.Unlock()
-	if ok {
-		return tr, nil
+	e, ok := tc.traces[key]
+	if !ok {
+		e = &cacheEntry{done: make(chan struct{})}
+		tc.traces[key] = e
 	}
-	tr, err := core.BuildTrace(profileKey, sc)
-	if err != nil {
-		return nil, err
-	}
-	tc.mu.Lock()
-	tc.traces[key] = tr
 	tc.mu.Unlock()
-	return tr, nil
+	if !ok {
+		tc.build(key, e, profileKey, sc)
+	}
+	<-e.done
+	return e.tr, e.err
+}
+
+// build fills e and releases its waiters. A failed or panicking build
+// leaves the cache; the panic still reaches the caller that built.
+func (tc *TraceCache) build(key string, e *cacheEntry, profileKey string, sc video.StreamConfig) {
+	defer func() {
+		if e.tr == nil {
+			if e.err == nil {
+				e.err = fmt.Errorf("experiments: building trace %s panicked", key)
+			}
+			tc.mu.Lock()
+			if tc.traces[key] == e {
+				delete(tc.traces, key)
+			}
+			tc.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.tr, e.err = core.BuildTrace(profileKey, sc)
 }
 
 // Drop evicts one workload's trace (memory control in long sweeps).

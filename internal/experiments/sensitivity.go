@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mach/internal/codec"
 	"mach/internal/core"
 	"mach/internal/framebuf"
 	"mach/internal/hashes"
@@ -80,14 +79,11 @@ func (r *Runner) Fig12b(entries []int) (*stats.Table, error) {
 }
 
 // Fig12c reproduces the mab-size sensitivity on V14 (paper: 4x4 optimal).
-// Each size needs its own synthesis because the codec's block size changes.
+// Each size needs its own trace build because the codec's block size
+// changes.
 func (r *Runner) Fig12c(sizes []int) (*stats.Table, error) {
 	if len(sizes) == 0 {
 		sizes = []int{2, 4, 8, 16}
-	}
-	prof, err := video.ProfileByKey("V14")
-	if err != nil {
-		return nil, err
 	}
 	tb := stats.NewTable("mab-size", "gab-savings", "gab-match", "meta-overhead")
 	for _, n := range sizes {
@@ -97,7 +93,7 @@ func (r *Runner) Fig12c(sizes []int) (*stats.Table, error) {
 		// for the generator's dup band): round down to a multiple of 16.
 		sc.Width = sc.Width / 16 * 16
 		sc.Height = sc.Height / 16 * 16
-		st, err := video.Synthesize(prof, sc)
+		tr, err := core.BuildTrace("V14", sc)
 		if err != nil {
 			return nil, err
 		}
@@ -107,18 +103,11 @@ func (r *Runner) Fig12c(sizes []int) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dec, err := codec.NewDecoder(st.Params)
-		if err != nil {
-			return nil, err
-		}
-		for i, ef := range st.Encoded {
-			fr, _, err := dec.Decode(ef)
-			if err != nil {
-				return nil, err
-			}
+		for i := range tr.Frames {
+			fr := &tr.Frames[i]
 			base := framebuf.RegionFrameBuffers + uint64(i%32)*(1<<22)
 			dump := framebuf.RegionMachDumps + uint64(i%32)*(1<<16)
-			wb.ProcessFrame(fr, ef.DisplayIndex, base, dump, nil)
+			wb.ProcessFrame(fr.Decoded, fr.DisplayIndex, base, dump, nil)
 		}
 		s := wb.Stats()
 		metaShare := float64(s.MetaBytes) / max(float64(s.RawBytes), 1)

@@ -1,9 +1,9 @@
 // Package trace builds and serializes decode traces: the per-frame decoded
 // pixels plus the per-mab work records the timing models replay. This mirrors
 // the paper's methodology (FFmpeg + pintool traces replayed through the
-// GemDroid platform): the functional decode happens once per workload, and
-// each scheme under test replays the same trace through the timing and
-// energy models, so scheme comparisons are content-identical by construction.
+// GemDroid platform): the trace is built once per workload, and each scheme
+// under test replays the same trace through the timing and energy models,
+// so scheme comparisons are content-identical by construction.
 package trace
 
 import (
@@ -38,7 +38,9 @@ type Trace struct {
 	Frames  []Frame // decode order
 }
 
-// Build decodes an encoded stream into a trace.
+// Build decodes an encoded stream into a trace. core.BuildTrace takes the
+// same frames from the encoder's reconstruction instead; Build is the
+// decoder-side reference the tests hold that to.
 func Build(profileKey string, fps int, params codec.Params, encoded []*codec.EncodedFrame) (*Trace, error) {
 	dec, err := codec.NewDecoder(params)
 	if err != nil {

@@ -50,12 +50,28 @@ func (s *Stream) TotalEncodedBytes() int {
 // Synthesize generates cfg.NumFrames frames of prof's content and encodes
 // them, returning the decode-order stream.
 func Synthesize(prof Profile, cfg StreamConfig) (*Stream, error) {
-	if err := cfg.Validate(); err != nil {
+	st := &Stream{Profile: prof}
+	params, err := EncodeStream(prof, cfg, func(o codec.Output) {
+		st.Encoded = append(st.Encoded, o.Encoded)
+	})
+	if err != nil {
 		return nil, err
+	}
+	st.Params = params
+	return st, nil
+}
+
+// EncodeStream generates cfg.NumFrames frames of prof's content, feeds them
+// to the encoder as they are made, and passes every frame the encoder
+// emits, in decode order, to emit. It returns the codec parameters the
+// stream was encoded with.
+func EncodeStream(prof Profile, cfg StreamConfig, emit func(codec.Output)) (codec.Params, error) {
+	if err := cfg.Validate(); err != nil {
+		return codec.Params{}, err
 	}
 	gen, err := NewGenerator(prof, cfg.Width, cfg.Height, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return codec.Params{}, err
 	}
 	params := codec.DefaultParams(cfg.Width, cfg.Height)
 	if cfg.MabSize != 0 {
@@ -68,20 +84,23 @@ func Synthesize(prof Profile, cfg StreamConfig) (*Stream, error) {
 	params.BFrames = prof.BFrames
 	enc, err := codec.NewEncoder(params)
 	if err != nil {
-		return nil, err
+		return codec.Params{}, err
 	}
-	st := &Stream{Profile: prof, Params: params, Encoded: make([]*codec.EncodedFrame, 0, cfg.NumFrames)}
 	for i := 0; i < cfg.NumFrames; i++ {
-		efs, err := enc.Push(gen.Frame())
+		outs, err := enc.PushOutputs(gen.Frame())
 		if err != nil {
-			return nil, err
+			return codec.Params{}, err
 		}
-		st.Encoded = append(st.Encoded, efs...)
+		for _, o := range outs {
+			emit(o)
+		}
 	}
-	efs, err := enc.Flush()
+	outs, err := enc.FlushOutputs()
 	if err != nil {
-		return nil, err
+		return codec.Params{}, err
 	}
-	st.Encoded = append(st.Encoded, efs...)
-	return st, nil
+	for _, o := range outs {
+		emit(o)
+	}
+	return params, nil
 }

@@ -105,7 +105,9 @@ var (
 	ProfileByKey = video.ProfileByKey
 	// WorkloadKeys returns the 16 workload keys in Table 1 order.
 	WorkloadKeys = core.WorkloadKeys
-	// BuildTrace synthesizes a workload and decodes it into a trace.
+	// BuildTrace synthesizes and encodes a workload into a trace: each
+	// frame is the encoder's reconstruction and decode work, which equal
+	// what codec.Decoder produces from the bitstream.
 	BuildTrace = core.BuildTrace
 	// Synthesize generates and encodes a workload stream.
 	Synthesize = video.Synthesize
